@@ -19,7 +19,6 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
 from .backbone import FeaturePyramid
-from .correlation import CostVolume
 from .errors import ConfigError, ShapeError
 
 _VALID_POSITIONS = ("encoder", "decoder")
@@ -52,7 +51,7 @@ class GeometryPyramid:
     """Encoder outputs; g4 is the (untouched) input volume at 1/4 resolution,
     g32 the B x 6C x D/32 x H/32 x W/32 bottleneck."""
 
-    g4: CostVolume
+    g4: Tensor
     g8: Tensor
     g16: Tensor
     g32: Tensor
@@ -91,12 +90,9 @@ class ContextGeometryFusion(nn.Module):
             )
         if detach_context:
             projected = projected.detach()
-        batch, channels = g.shape[0], g.shape[1]
-        expanded = ad.expand(
-            ad.reshape(projected, (batch, channels, 1) + ctx.shape[2:]), g.shape
-        )
-        attention = ad.sigmoid(self.attend(ad.add(g, expanded)))
-        return self.fuse(ad.add(g, ad.mul(attention, expanded)))
+        context = ad.reshape(projected, g.shape[:2] + (1,) + ctx.shape[2:])
+        attention = ad.sigmoid(self.attend(ad.add(g, context)))
+        return self.fuse(ad.add(g, ad.mul(attention, context)))
 
 
 class _DownsampleBlock(nn.Module):
@@ -146,8 +142,8 @@ class Encoder(nn.Module):
                 for (_, out_ch), ctx_ch in zip(plan, ctx_channels)
             ])
 
-    def forward(self, volume: CostVolume, ctx: FeaturePyramid) -> GeometryPyramid:
-        g = volume.data
+    def forward(self, volume: Tensor, ctx: FeaturePyramid) -> GeometryPyramid:
+        g = volume
         for axis, extent in enumerate(g.shape[2:]):
             if extent % 8 != 0:
                 raise ShapeError(
@@ -188,14 +184,13 @@ class Decoder(nn.Module):
         # cost volume, so a bias here could never receive gradient signal.
         self.head = nn.Conv3d(c, 1, 3, rng, bias=False)
 
-    def forward(self, pyr: GeometryPyramid, ctx: FeaturePyramid) -> CostVolume:
+    def forward(self, pyr: GeometryPyramid, ctx: FeaturePyramid) -> Tensor:
         detach = self.cfg.detach_context
         contexts = [ctx.f32, ctx.f16, ctx.f8]
-        skips = [pyr.g16, pyr.g8, pyr.g4.data]
+        skips = [pyr.g16, pyr.g8, pyr.g4]
         g = pyr.g32
         for i, block in enumerate((self.up1, self.up2, self.up3)):
             if self.fusers is not None:
                 g = self.fusers[i](g, contexts[i], detach)
             g = block(g, skips[i])
-        cost = self.head(g)
-        return CostVolume(cost, pyr.g4.disparity_stride, pyr.g4.resolution)
+        return self.head(g)

@@ -24,9 +24,6 @@ __all__ = [
     "conv_transpose3d",
 ]
 
-_PAD_MODES = ("zeros", "circular")
-
-
 def _norm_tuple(value, n: int, name: str) -> tuple[int, ...]:
     if isinstance(value, int):
         value = (value,) * n
@@ -36,23 +33,16 @@ def _norm_tuple(value, n: int, name: str) -> tuple[int, ...]:
     return value
 
 
-def _slice_axis(arr: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
-    index = [slice(None)] * arr.ndim
-    index[axis] = slice(start, stop)
-    return arr[tuple(index)]
-
-
-def _pad_spatial(x: np.ndarray, padding: tuple[int, ...], mode: str) -> np.ndarray:
+def _pad_spatial(x: np.ndarray, padding: tuple[int, ...]) -> np.ndarray:
     if not any(padding):
         return x
-    widths = [(0, 0), (0, 0)] + [(p, p) for p in padding]
-    return np.pad(x, widths, mode="constant" if mode == "zeros" else "wrap")
+    return np.pad(x, [(0, 0), (0, 0)] + [(p, p) for p in padding])
 
 
-def _corr_forward(x, w, stride, padding, mode) -> np.ndarray:
+def _corr_forward(x, w, stride, padding) -> np.ndarray:
     """Plain strided correlation of x [B,Ci,*S] with w [Co,Ci,*K] -> [B,Co,*O]."""
     nsp = x.ndim - 2
-    xp = _pad_spatial(x, padding, mode)
+    xp = _pad_spatial(x, padding)
     for ax in range(nsp):
         if xp.shape[2 + ax] < w.shape[2 + ax]:
             raise ShapeError(
@@ -67,23 +57,22 @@ def _corr_forward(x, w, stride, padding, mode) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(out, -1, 1))
 
 
-def _corr_kernel_grad(x, g, stride, padding, kshape, mode) -> np.ndarray:
+def _corr_kernel_grad(x, g, stride, padding, kshape) -> np.ndarray:
     """Gradient of the correlation above with respect to the kernel."""
     nsp = x.ndim - 2
-    xp = _pad_spatial(x, padding, mode)
+    xp = _pad_spatial(x, padding)
     win = sliding_window_view(xp, kshape, axis=tuple(range(2, 2 + nsp)))
     win = win[(slice(None), slice(None)) + tuple(slice(None, None, s) for s in stride)]
     axes = ([0] + list(range(2, 2 + nsp)), [0] + list(range(2, 2 + nsp)))
     return np.tensordot(g, win, axes=axes)
 
 
-def _corr_input_grad(g, w, stride, padding, in_spatial, mode) -> np.ndarray:
+def _corr_input_grad(g, w, stride, padding, in_spatial) -> np.ndarray:
     """Adjoint of the correlation: scatter g [B,Co,*O] back to [B,Ci,*S].
 
     Works by writing g into a zero buffer on a stride-spaced lattice offset by
     K-1, then running a stride-1 correlation with the flipped kernel.  The
-    buffer covers the *padded* input; zero padding is cropped away, circular
-    padding is folded back onto the opposite edge.
+    buffer covers the *padded* input; the padding is cropped away.
     """
     nsp = len(in_spatial)
     batch, cout = g.shape[:2]
@@ -98,34 +87,11 @@ def _corr_input_grad(g, w, stride, padding, in_spatial, mode) -> np.ndarray:
     )
     buf[place] = g
     w_flip = np.flip(w, axis=tuple(range(2, 2 + nsp))).swapaxes(0, 1)
-    dxp = _corr_forward(buf, w_flip, (1,) * nsp, (0,) * nsp, "zeros")
-
-    if mode == "zeros":
-        crop = (slice(None), slice(None)) + tuple(
-            slice(padding[i], padding[i] + in_spatial[i]) for i in range(nsp)
-        )
-        return np.ascontiguousarray(dxp[crop])
-
-    # Circular: each pad strip wraps around, so its gradient folds back onto
-    # the opposite edge of the core region, one axis at a time.
-    out = dxp
-    for ax in range(nsp):
-        p = padding[ax]
-        if p == 0:
-            continue
-        size = out.shape[2 + ax]
-        core = _slice_axis(out, 2 + ax, p, size - p).copy()
-        n = core.shape[2 + ax]
-        left = _slice_axis(out, 2 + ax, 0, p)
-        right = _slice_axis(out, 2 + ax, size - p, size)
-        tail = [slice(None)] * core.ndim
-        tail[2 + ax] = slice(n - p, n)
-        core[tuple(tail)] += left
-        head = [slice(None)] * core.ndim
-        head[2 + ax] = slice(0, p)
-        core[tuple(head)] += right
-        out = core
-    return out
+    dxp = _corr_forward(buf, w_flip, (1,) * nsp, (0,) * nsp)
+    crop = (slice(None), slice(None)) + tuple(
+        slice(padding[i], padding[i] + in_spatial[i]) for i in range(nsp)
+    )
+    return np.ascontiguousarray(dxp[crop])
 
 
 def _check_conv_args(x: Tensor, w: Tensor, nsp: int, op: str) -> None:
@@ -135,11 +101,9 @@ def _check_conv_args(x: Tensor, w: Tensor, nsp: int, op: str) -> None:
         raise ShapeError(f"{op}: kernel must have {nsp + 2} axes, got shape {w.shape}")
 
 
-def _conv_nd(x, w, bias, stride, padding, pad_mode, nsp, op) -> Tensor:
+def _conv_nd(x, w, bias, stride, padding, nsp, op) -> Tensor:
     x, w = _lift(x), _lift(w)
     _check_conv_args(x, w, nsp, op)
-    if pad_mode not in _PAD_MODES:
-        raise ShapeError(f"{op}: unknown pad_mode {pad_mode!r}")
     stride = _norm_tuple(stride, nsp, f"{op} stride")
     padding = _norm_tuple(padding, nsp, f"{op} padding")
     if any(s < 1 for s in stride):
@@ -155,15 +119,15 @@ def _conv_nd(x, w, bias, stride, padding, pad_mode, nsp, op) -> Tensor:
             raise ShapeError(f"{op}: bias shape {bias.shape} != ({w.shape[0]},)")
         parents.append(bias)
 
-    out = _corr_forward(x.data, w.data, stride, padding, pad_mode)
+    out = _corr_forward(x.data, w.data, stride, padding)
     if bias is not None:
         out = out + bias.data.reshape((1, -1) + (1,) * nsp)
     in_spatial = x.shape[2:]
     kshape = w.shape[2:]
 
     def bw(g):
-        gx = _corr_input_grad(g, w.data, stride, padding, in_spatial, pad_mode)
-        gw = _corr_kernel_grad(x.data, g, stride, padding, kshape, pad_mode)
+        gx = _corr_input_grad(g, w.data, stride, padding, in_spatial)
+        gw = _corr_kernel_grad(x.data, g, stride, padding, kshape)
         if bias is None:
             return gx, gw
         gb = g.sum(axis=(0,) + tuple(range(2, 2 + nsp)))
@@ -201,13 +165,13 @@ def _conv_transpose_nd(x, w, bias, stride, padding, nsp, op) -> Tensor:
             raise ShapeError(f"{op}: bias shape {bias.shape} != ({w.shape[1]},)")
         parents.append(bias)
 
-    out = _corr_input_grad(x.data, w.data, stride, padding, out_spatial, "zeros")
+    out = _corr_input_grad(x.data, w.data, stride, padding, out_spatial)
     if bias is not None:
         out = out + bias.data.reshape((1, -1) + (1,) * nsp)
 
     def bw(g):
-        gx = _corr_forward(g, w.data, stride, padding, "zeros")
-        gw = _corr_kernel_grad(g, x.data, stride, padding, kshape, "zeros")
+        gx = _corr_forward(g, w.data, stride, padding)
+        gw = _corr_kernel_grad(g, x.data, stride, padding, kshape)
         if bias is None:
             return gx, gw
         gb = g.sum(axis=(0,) + tuple(range(2, 2 + nsp)))
@@ -216,17 +180,17 @@ def _conv_transpose_nd(x, w, bias, stride, padding, nsp, op) -> Tensor:
     return _node(out, parents, bw)
 
 
-def conv2d(x, w, bias=None, stride=1, padding=0, pad_mode: str = "zeros") -> Tensor:
-    """Correlate x [B,Ci,H,W] with w [Co,Ci,kh,kw] -> [B,Co,H',W']."""
-    return _conv_nd(x, w, bias, stride, padding, pad_mode, 2, "conv2d")
+def conv2d(x, w, bias=None, stride=1, padding=0) -> Tensor:
+    """Correlate x [B,Ci,H,W] with w [Co,Ci,kh,kw] -> [B,Co,H',W'] (zero padding)."""
+    return _conv_nd(x, w, bias, stride, padding, 2, "conv2d")
 
 
-def conv3d(x, w, bias=None, stride=1, padding=0, pad_mode: str = "zeros") -> Tensor:
+def conv3d(x, w, bias=None, stride=1, padding=0) -> Tensor:
     """Correlate x [B,Ci,D,H,W] with w [Co,Ci,kd,kh,kw] -> [B,Co,D',H',W'].
 
     Stride and padding may differ per spatial axis (depth axis included).
     """
-    return _conv_nd(x, w, bias, stride, padding, pad_mode, 3, "conv3d")
+    return _conv_nd(x, w, bias, stride, padding, 3, "conv3d")
 
 
 def conv_transpose2d(x, w, bias=None, stride=1, padding=0) -> Tensor:

@@ -29,7 +29,6 @@ __all__ = [
     "sigmoid",
     "leaky_relu",
     "reshape",
-    "expand",
     "narrow",
     "concat",
     "tsum",
@@ -346,28 +345,6 @@ def reshape(t, shape: tuple[int, ...]) -> Tensor:
 
     def bw(g):
         return (g.reshape(in_shape),)
-
-    return _node(out_data, (t,), bw)
-
-
-def expand(t, shape: tuple[int, ...]) -> Tensor:
-    """Broadcast `t` to `shape`; only axes of extent 1 (or new leading axes)
-    may be repeated."""
-    t = _lift(t)
-    shape = tuple(int(s) for s in shape)
-    if len(shape) < t.ndim:
-        raise ShapeError(f"expand cannot drop axes: {t.shape} -> {shape}")
-    lead = len(shape) - t.ndim
-    for i, (src, dst) in enumerate(zip(t.shape, shape[lead:])):
-        if src != dst and src != 1:
-            raise ShapeError(
-                f"expand: axis {lead + i} has extent {src}, cannot repeat to {dst}"
-            )
-    out_data = np.broadcast_to(t.data, shape).copy()
-    in_shape = t.shape
-
-    def bw(g):
-        return (_unbroadcast(g, in_shape),)
 
     return _node(out_data, (t,), bw)
 

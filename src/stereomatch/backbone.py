@@ -24,7 +24,6 @@ class BackboneConfig:
     channels: tuple[int, int, int, int] = (32, 48, 64, 96)
     blocks_per_stage: int = 1
     leaky_slope: float = 0.2
-    seed: int = 0
 
     def validate(self) -> "BackboneConfig":
         if self.stem_channels < 1:
@@ -41,8 +40,6 @@ class BackboneConfig:
             raise ConfigError(f"backbone.blocks_per_stage must be >= 1, got {self.blocks_per_stage}")
         if not 0.0 < self.leaky_slope < 1.0:
             raise ConfigError(f"backbone.leaky_slope must be in (0,1), got {self.leaky_slope}")
-        if self.seed < 0:
-            raise ConfigError(f"backbone.seed must be unsigned, got {self.seed}")
         return self
 
 
@@ -55,18 +52,14 @@ class FeaturePyramid:
     f16: Tensor
     f32: Tensor
 
-    def as_tuple(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        return (self.f4, self.f8, self.f16, self.f32)
-
 
 class _Block(nn.Module):
     """conv3x3 + BatchNorm + leaky ReLU, with a residual add when the input
     and output shapes agree (stride 1, equal channels)."""
 
-    def __init__(self, in_ch, out_ch, rng, stride, slope, pad_mode):
+    def __init__(self, in_ch, out_ch, rng, stride, slope):
         super().__init__()
-        self.body = nn.ConvBnLeaky2d(in_ch, out_ch, 3, rng, stride=stride,
-                                     slope=slope, pad_mode=pad_mode)
+        self.body = nn.ConvBnLeaky2d(in_ch, out_ch, 3, rng, stride=stride, slope=slope)
         self.residual = stride == 1 and in_ch == out_ch
 
     def forward(self, x):
@@ -78,21 +71,18 @@ class Backbone(nn.Module):
     """Stem (stride 2) plus four stages whose first block strides by 2,
     yielding features at 1/4, 1/8, 1/16, 1/32 resolution."""
 
-    def __init__(self, cfg: BackboneConfig, rng: np.random.Generator | None = None,
-                 pad_mode: str = "zeros"):
+    def __init__(self, cfg: BackboneConfig, rng: np.random.Generator):
         super().__init__()
         cfg.validate()
         self.cfg = cfg
-        rng = np.random.default_rng(cfg.seed) if rng is None else rng
         slope = cfg.leaky_slope
-        self.stem = nn.ConvBnLeaky2d(3, cfg.stem_channels, 3, rng, stride=2,
-                                     slope=slope, pad_mode=pad_mode)
+        self.stem = nn.ConvBnLeaky2d(3, cfg.stem_channels, 3, rng, stride=2, slope=slope)
         stages = nn.ModuleList()
         in_ch = cfg.stem_channels
         for out_ch in cfg.channels:
-            blocks = [_Block(in_ch, out_ch, rng, 2, slope, pad_mode)]
+            blocks = [_Block(in_ch, out_ch, rng, 2, slope)]
             for _ in range(cfg.blocks_per_stage - 1):
-                blocks.append(_Block(out_ch, out_ch, rng, 1, slope, pad_mode))
+                blocks.append(_Block(out_ch, out_ch, rng, 1, slope))
             stages.append(nn.Sequential(*blocks))
             in_ch = out_ch
         self.stages = stages

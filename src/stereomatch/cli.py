@@ -27,7 +27,6 @@ from .backbone import Backbone, BackboneConfig, FeaturePyramid, MergeUpsample
 from .correlation import (
     AttentionFeatureVolume,
     CorrelationLift,
-    CostVolume,
     MatchingConfig,
     build_correlation,
 )
@@ -78,6 +77,8 @@ def gradcheck_suite():
     pos34 = np.abs(rng.standard_normal((3, 4))) + 0.5
     off34 = rng.standard_normal((3, 4))
     off34 += np.where(off34 >= 0, 0.3, -0.3)        # clear of kinks at zero
+    # own generator, so the draws from rng below do not shift
+    y354 = np.random.default_rng(5).standard_normal((3, 5, 4))
 
     checks = [
         ("add", lambda: grad_check(_probed(lambda t: ad.add(t, Tensor(y34))), x34)),
@@ -92,8 +93,8 @@ def gradcheck_suite():
         ("softmax", lambda: grad_check(_probed(lambda t: ad.softmax(t, axis=1)), 2.0 * x34)),
         ("tsum", lambda: grad_check(_probed(lambda t: ad.tsum(t, axis=0, keepdims=True)), x34)),
         ("reshape", lambda: grad_check(_probed(lambda t: ad.reshape(t, (4, 3))), x34)),
-        ("expand", lambda: grad_check(
-            _probed(lambda t: ad.expand(ad.reshape(t, (3, 1, 4)), (3, 5, 4))), x34)),
+        ("mul_broadcast", lambda: grad_check(
+            _probed(lambda t: ad.mul(ad.reshape(t, (3, 1, 4)), Tensor(y354))), x34)),
         ("narrow", lambda: grad_check(_probed(lambda t: ad.narrow(t, 1, 1, 2)), x34)),
         ("concat", lambda: grad_check(
             _probed(lambda t: ad.concat([t, Tensor(y34), t], axis=1)), x34)),
@@ -141,8 +142,6 @@ def gradcheck_suite():
             lambda t: ad.conv2d(Tensor(cx), t, Tensor(cb), stride=(2, 1), padding=(1, 2))), cw)),
         ("conv2d_b", lambda: grad_check(_probed(
             lambda t: ad.conv2d(Tensor(cx), Tensor(cw), t, padding=(1, 1))), cb)),
-        ("conv2d_circular_x", lambda: grad_check(_probed(
-            lambda t: ad.conv2d(t, Tensor(cw), None, padding=(1, 1), pad_mode="circular")), cx)),
         ("conv3d_x", lambda: grad_check(_probed(
             lambda t: ad.conv3d(t, Tensor(c3w), None, padding=(0, 1, 1))), c3x)),
         ("conv3d_w", lambda: grad_check(_probed(
@@ -205,13 +204,13 @@ def gradcheck_suite():
         def build(t):
             left = Tensor(fl) if wrt_right else t
             right = t if wrt_right else Tensor(fr)
-            return build_correlation(left, right, mcfg).data
+            return build_correlation(left, right, mcfg)
         return _probed(build)
 
     def afv_fn(t):
         v = afv(lift(build_correlation(t, Tensor(fr), mcfg)), t)
-        probe = np.random.default_rng(1234).standard_normal(v.data.shape)
-        return ad.tsum(ad.mul(v.data, Tensor(probe)))
+        probe = np.random.default_rng(1234).standard_normal(v.shape)
+        return ad.tsum(ad.mul(v, Tensor(probe)))
 
     cgf = ContextGeometryFusion(2, 3, 3, np.random.default_rng(4))
     cgf_g = wrng.standard_normal((1, 2, 2, 4, 4))
@@ -234,8 +233,7 @@ def gradcheck_suite():
         ("merge_stage", lambda: grad_check(merge_fn, pyr_maps[3], max_coords=48, seed=5)),
         ("correlation_left", lambda: grad_check(corr_fn(False), fl, max_coords=64, seed=1)),
         ("correlation_right", lambda: grad_check(corr_fn(True), fr, max_coords=64, seed=2)),
-        ("correlation_lift", lambda: grad_check(_probed(
-            lambda t: lift(CostVolume(t, 1.0, "quarter")).data), vol)),
+        ("correlation_lift", lambda: grad_check(_probed(lift), vol)),
         ("attention_volume", lambda: grad_check(afv_fn, fl, max_coords=64, seed=3)),
         ("cgf_geometry", lambda: grad_check(_probed(
             lambda t: cgf(t, Tensor(cgf_ctx))), cgf_g)),
@@ -245,7 +243,7 @@ def gradcheck_suite():
         ("decoder_stage", lambda: grad_check(_probed(
             lambda t: up(t, Tensor(up_skip))), up_in)),
         ("superpixel_upsample", lambda: grad_check(_probed(
-            lambda t: sup(DisparityMap(t, "quarter"), Tensor(sup_ctx)).values), sup_d0)),
+            lambda t: sup(DisparityMap(t), Tensor(sup_ctx)).values), sup_d0)),
         ("smooth_l1_loss", lambda: grad_check(
             lambda t: smooth_l1(t, gt, mask, 1.0), pred)),
         ("total_loss", lambda: grad_check(

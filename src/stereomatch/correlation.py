@@ -37,27 +37,14 @@ class MatchingConfig:
         return self
 
 
-@dataclass
-class CostVolume:
-    """A [B,C,D,H,W] stack of per-disparity values plus its unit bookkeeping:
-    `disparity_stride` is how many pixels (at this resolution) one step along
-    the D axis represents."""
-
-    data: Tensor
-    disparity_stride: float
-    resolution: str
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-
-def build_correlation(f_l: Tensor, f_r: Tensor, cfg: MatchingConfig) -> CostVolume:
+def build_correlation(f_l: Tensor, f_r: Tensor, cfg: MatchingConfig) -> Tensor:
     """Cosine similarity between left features and d-shifted right features.
 
-    Output entry (b, 0, d, y, x) compares f_l at column x with f_r at column
-    x - d; candidates that would reach past the left image border are exactly
-    zero.  A small epsilon keeps the norm product away from zero.
+    Returns a [B,1,D,H,W] volume on the features' grid, one pixel of that
+    grid per step along D.  Entry (b, 0, d, y, x) compares f_l at column x
+    with f_r at column x - d; candidates that would reach past the left image
+    border are exactly zero.  A small epsilon keeps the norm product away
+    from zero.
     """
     if f_l.shape != f_r.shape:
         raise ShapeError(f"feature shapes differ: {f_l.shape} vs {f_r.shape}")
@@ -87,8 +74,7 @@ def build_correlation(f_l: Tensor, f_r: Tensor, cfg: MatchingConfig) -> CostVolu
         numer = ad.tsum(ad.mul(f_l, shifted), axis=1, keepdims=True)
         denom = ad.add(ad.mul(norm_l, shifted_norm), cfg.epsilon)
         slices.append(ad.div(numer, denom))
-    volume = ad.reshape(ad.concat(slices, axis=1), (batch, 1, num_disp, height, width))
-    return CostVolume(volume, disparity_stride=1.0, resolution="quarter")
+    return ad.reshape(ad.concat(slices, axis=1), (batch, 1, num_disp, height, width))
 
 
 class CorrelationLift(nn.Module):
@@ -99,17 +85,17 @@ class CorrelationLift(nn.Module):
         super().__init__()
         self.block = nn.ConvBnLeaky3d(1, cfg.corr_channels, (1, 3, 3), rng, slope=slope)
 
-    def forward(self, volume: CostVolume) -> CostVolume:
-        if volume.data.shape[1] != 1:
-            raise ShapeError(f"lift expects a 1-channel volume, got {volume.data.shape}")
-        return CostVolume(self.block(volume.data), volume.disparity_stride, volume.resolution)
+    def forward(self, volume: Tensor) -> Tensor:
+        if volume.shape[1] != 1:
+            raise ShapeError(f"lift expects a 1-channel volume, got {volume.shape}")
+        return self.block(volume)
 
 
 class AttentionFeatureVolume(nn.Module):
     """Gate broadcast left features with the lifted correlation attention.
 
     The left features are first mapped to the attention channel count with a
-    bias-free 1x1 conv, so zero features stay exactly zero, then repeated
+    bias-free 1x1 conv, so zero features stay exactly zero, then broadcast
     along the disparity axis and multiplied elementwise with the attention.
     """
 
@@ -117,8 +103,8 @@ class AttentionFeatureVolume(nn.Module):
         super().__init__()
         self.project = nn.Conv2d(feature_channels, cfg.corr_channels, 1, rng, bias=False)
 
-    def forward(self, a_corr: CostVolume, f_l: Tensor) -> CostVolume:
-        batch, channels, num_disp, height, width = a_corr.data.shape
+    def forward(self, a_corr: Tensor, f_l: Tensor) -> Tensor:
+        batch, channels, _, height, width = a_corr.shape
         if f_l.shape[2] != height or f_l.shape[3] != width:
             raise ShapeError(
                 f"feature extent {f_l.shape[2:]} does not match volume extent {(height, width)}"
@@ -129,10 +115,4 @@ class AttentionFeatureVolume(nn.Module):
                 f"projected features have {projected.shape[1]} channels, "
                 f"attention volume has {channels}"
             )
-        broadcast = ad.expand(
-            ad.reshape(projected, (batch, channels, 1, height, width)),
-            (batch, channels, num_disp, height, width),
-        )
-        return CostVolume(
-            ad.mul(a_corr.data, broadcast), a_corr.disparity_stride, a_corr.resolution
-        )
+        return ad.mul(a_corr, ad.reshape(projected, (batch, channels, 1, height, width)))

@@ -121,6 +121,8 @@ def _read_netpbm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
         w, h, maxval = int(wtok), int(htok), int(mtok)
     except ValueError:
         raise DataFormatError(f"non-integer netpbm header field near byte {mstart}") from None
+    if w <= 0 or h <= 0:
+        raise DataFormatError(f"non-positive netpbm dimensions {w}x{h} near byte {mstart}")
     if maxval != 255:
         raise DataFormatError(f"unsupported maxval {maxval} at byte {mstart}; only 255")
     pos += 1

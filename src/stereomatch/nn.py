@@ -150,19 +150,17 @@ def _triple(v) -> tuple[int, int, int]:
 
 
 class Conv2d(Module):
-    def __init__(self, in_ch, out_ch, kernel, rng, stride=1, padding=None,
-                 bias=True, pad_mode="zeros"):
+    def __init__(self, in_ch, out_ch, kernel, rng, stride=1, padding=None, bias=True):
         super().__init__()
         kernel = _pair(kernel)
         self.stride = _pair(stride)
         self.padding = tuple((k - 1) // 2 for k in kernel) if padding is None else _pair(padding)
-        self.pad_mode = pad_mode
         fan_in = in_ch * kernel[0] * kernel[1]
         self.weight = Parameter(uniform_fan_in(rng, (out_ch, in_ch) + kernel, fan_in))
         self.bias = Parameter(uniform_fan_in(rng, (out_ch,), fan_in)) if bias else None
 
     def forward(self, x):
-        return ad.conv2d(x, self.weight, self.bias, self.stride, self.padding, self.pad_mode)
+        return ad.conv2d(x, self.weight, self.bias, self.stride, self.padding)
 
 
 class Conv3d(Module):
@@ -227,24 +225,13 @@ class BatchNorm(Module):
         )
 
 
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.2):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x):
-        return ad.leaky_relu(x, self.negative_slope)
-
-
 class ConvBnLeaky2d(Module):
-    """3x3-style conv -> BatchNorm -> LeakyReLU block (conv runs bias-free
+    """3x3-style conv -> BatchNorm -> leaky ReLU block (conv runs bias-free
     since the norm would cancel a bias anyway)."""
 
-    def __init__(self, in_ch, out_ch, kernel, rng, stride=1, padding=None,
-                 slope=0.2, pad_mode="zeros"):
+    def __init__(self, in_ch, out_ch, kernel, rng, stride=1, padding=None, slope=0.2):
         super().__init__()
-        self.conv = Conv2d(in_ch, out_ch, kernel, rng, stride, padding,
-                           bias=False, pad_mode=pad_mode)
+        self.conv = Conv2d(in_ch, out_ch, kernel, rng, stride, padding, bias=False)
         self.bn = BatchNorm(out_ch)
         self.slope = slope
 

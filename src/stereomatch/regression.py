@@ -17,16 +17,14 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
 from .autodiff.tensor import _node
-from .correlation import CostVolume
 from .errors import ShapeError
 
 
 @dataclass
 class DisparityMap:
-    """Disparity field in pixels of its own grid ('quarter' or 'full')."""
+    """Disparity field [B,1,h,w] in pixels of its own grid."""
 
     values: Tensor
-    resolution: str
 
 
 def top2_softargmax(cost: Tensor) -> Tensor:
@@ -65,10 +63,10 @@ def top2_softargmax(cost: Tensor) -> Tensor:
     return _node(d0[:, None], (cost,), bw)
 
 
-def top2_regression(cost: CostVolume) -> DisparityMap:
-    if cost.data.shape[1] != 1:
+def top2_regression(cost: Tensor) -> DisparityMap:
+    if cost.shape[1] != 1:
         raise ShapeError(f"regression expects a 1-channel cost volume, got {cost.shape}")
-    return DisparityMap(top2_softargmax(cost.data), cost.resolution)
+    return DisparityMap(top2_softargmax(cost))
 
 
 def unfold3x3(x: Tensor) -> Tensor:
@@ -150,10 +148,7 @@ class SuperpixelUpsample(nn.Module):
         cells = self.SCALE * self.SCALE
         logits = self.conv2(ad.leaky_relu(self.conv1(ctx_f4), self.slope))
         weights = ad.softmax(ad.reshape(logits, (batch, 9, cells, h, w)), axis=1)
-        neighbors = ad.expand(
-            ad.reshape(unfold3x3(values), (batch, 9, 1, h, w)),
-            (batch, 9, cells, h, w),
-        )
+        neighbors = ad.reshape(unfold3x3(values), (batch, 9, 1, h, w))
         combined = ad.tsum(ad.mul(weights, neighbors), axis=1)  # [B,16,h,w]
         fine = pixel_shuffle(combined, self.SCALE)
-        return DisparityMap(ad.mul(fine, float(self.SCALE)), "full")
+        return DisparityMap(ad.mul(fine, float(self.SCALE)))

@@ -163,11 +163,18 @@ def load_checkpoint(model: StereoModel, path: str) -> None:
     with open(path, "rb") as f:
         if f.read(len(_CHECKPOINT_MAGIC)) != _CHECKPOINT_MAGIC:
             raise DataFormatError(f"{path}: not a checkpoint file")
-        count = int(f.readline())
+        try:
+            count = int(f.readline())
+        except ValueError:
+            raise DataFormatError(f"{path}: entry count is not an integer") from None
         seen = []
         for _ in range(count):
-            header = f.readline().decode("ascii").split()
-            name, shape = header[0], tuple(int(d) for d in header[1:])
+            line = f.readline()
+            try:  # ValueError also covers non-ASCII bytes and an empty header
+                name, *dims = line.decode("ascii").split()
+                shape = tuple(int(d) for d in dims)
+            except ValueError:
+                raise DataFormatError(f"{path}: malformed entry header {line[:60]!r}") from None
             if name not in arrays:
                 raise DataFormatError(f"{path}: unknown entry {name!r}")
             target = arrays[name]

@@ -23,7 +23,6 @@ from stereomatch.backbone import BackboneConfig
 from stereomatch.cli import gradcheck_suite, main
 from stereomatch.correlation import (
     AttentionFeatureVolume,
-    CostVolume,
     MatchingConfig,
     build_correlation,
 )
@@ -72,17 +71,17 @@ def test_oracle_equivalence():
         f_l = rng.standard_normal((1, 4, 6, 8))
         f_r = rng.standard_normal((1, 4, 6, 8))
         cfg = MatchingConfig(max_disparity=16, corr_channels=4)
-        got = build_correlation(ad.Tensor(f_l), ad.Tensor(f_r), cfg).data.data
+        got = build_correlation(ad.Tensor(f_l), ad.Tensor(f_r), cfg).data
         want = correlation_naive(f_l, f_r, 4, cfg.epsilon)
         worst_corr = max(worst_corr, np.abs(got - want).max())
 
         afv = AttentionFeatureVolume(6, cfg, np.random.default_rng(50 + seed))
         ctx = rng.standard_normal((1, 6, 3, 4))
         a_corr = rng.standard_normal((1, 4, 5, 3, 4))
-        got = afv(CostVolume(ad.Tensor(a_corr), 1.0, "quarter"), ad.Tensor(ctx))
+        got = afv(ad.Tensor(a_corr), ad.Tensor(ctx))
         proj = project1x1_naive(ctx, afv.project.weight.data)
         want = a_corr * proj[:, :, None, :, :]
-        worst_afv = max(worst_afv, np.abs(got.data.data - want).max())
+        worst_afv = max(worst_afv, np.abs(got.data - want).max())
 
         fusion = ContextGeometryFusion(2, 3, 5, np.random.default_rng(80 + seed))
         g = rng.standard_normal((1, 2, 2, 4, 4))

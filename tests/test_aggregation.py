@@ -13,7 +13,6 @@ from stereomatch.aggregation import (
     _DownsampleBlock,
 )
 from stereomatch.backbone import FeaturePyramid
-from stereomatch.correlation import CostVolume
 from stereomatch.errors import ConfigError, ShapeError
 
 from reference import cgf_naive
@@ -31,7 +30,7 @@ def make_ctx(batch, d_unused, h4, w4, rng):
 
 
 def quarter_volume(batch, c, d, h, w, rng):
-    return CostVolume(ad.Tensor(rng.standard_normal((batch, c, d, h, w))), 1.0, "quarter")
+    return ad.Tensor(rng.standard_normal((batch, c, d, h, w)))
 
 
 def test_cgf_config_validation():
@@ -119,13 +118,9 @@ class TestFusionBlock:
         g = rng.standard_normal((1, 2, 2, 4, 4))
         ctx = rng.standard_normal((1, 3, 4, 4))
         out = fusion(ad.Tensor(g), ad.Tensor(ctx)).data
-        # with A_s = 0.5 the block is fuse(g + 0.5 * expanded context)
-        proj = fusion.project(ad.Tensor(ctx))
-        half = ad.add(
-            ad.Tensor(g),
-            ad.mul(ad.expand(ad.reshape(proj, (1, 2, 1, 4, 4)), (1, 2, 2, 4, 4)), 0.5),
-        )
-        want = fusion.fuse(half).data
+        # with A_s = 0.5 the block is fuse(g + 0.5 * broadcast context)
+        proj = fusion.project(ad.Tensor(ctx)).data
+        want = fusion.fuse(ad.Tensor(g + 0.5 * proj[:, :, None])).data
         assert np.allclose(out, want, atol=1e-12)
 
     def test_detach_keeps_values_changes_grads(self):
@@ -193,8 +188,7 @@ def run_encode_decode(positions, seed=11, detach=False, c=4, batch=1):
 def test_decode_output_shape_and_baseline():
     for positions in ((), ("encoder",), ("decoder",), ("encoder", "decoder")):
         enc, dec, out = run_encode_decode(positions)
-        assert out.data.shape == (1, 1, 8, 8, 16)
-        assert out.resolution == "quarter"
+        assert out.shape == (1, 1, 8, 8, 16)
 
 
 def test_toy_config_decode_shape():
@@ -207,7 +201,7 @@ def test_toy_config_decode_shape():
     vol = quarter_volume(1, 8, 16, 16, 32, data)
     ctx = make_ctx(1, 16, 16, 32, data)
     out = dec(enc(vol, ctx), ctx)
-    assert out.data.shape == (1, 1, 16, 16, 32)
+    assert out.shape == (1, 1, 16, 16, 32)
 
 
 def test_param_count_ordering_over_positions():
@@ -227,7 +221,7 @@ def test_param_count_ordering_over_positions():
 def test_decoder_detach_zeroes_context_projection_grads():
     enc, dec, out = run_encode_decode(("encoder", "decoder"), detach=True)
     params = enc.parameters() + dec.parameters()
-    ad.backward(ad.tsum(ad.mul(out.data, out.data)), ensure=params)
+    ad.backward(ad.tsum(ad.mul(out, out)), ensure=params)
     for module in (enc, dec):
         for name, p in module.named_parameters():
             if ".project." in name:
@@ -239,4 +233,4 @@ def test_decoder_detach_zeroes_context_projection_grads():
 def test_detach_forward_values_bit_identical():
     _, _, plain = run_encode_decode(("encoder", "decoder"), detach=False)
     _, _, truncated = run_encode_decode(("encoder", "decoder"), detach=True)
-    assert np.array_equal(plain.data.data, truncated.data.data)
+    assert np.array_equal(plain.data, truncated.data)

@@ -123,6 +123,32 @@ def test_infer_size_mismatch_exits_2(tmp_path, capsys):
     assert "shapes differ" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target,blob,message", [
+    pytest.param("checkpoint", b"STCKPT1\nxyz\n", "entry count", id="ckpt-count-not-int"),
+    pytest.param("checkpoint", b"STCKPT1\n1\n\n", "malformed entry header",
+                 id="ckpt-empty-header"),
+    pytest.param("checkpoint", b"STCKPT1\n1\nstem.conv.weight 4 x 3 3\n",
+                 "malformed entry header", id="ckpt-dims-not-int"),
+    pytest.param("checkpoint", b"STCKPT1\n1\nstem\xff 4\n", "malformed entry header",
+                 id="ckpt-non-ascii-header"),
+    pytest.param("left", b"P6 -1 4 255\n", "non-positive", id="ppm-negative-width"),
+    pytest.param("left", b"P6 -2 -2 255\n" + bytes(12), "non-positive", id="ppm-negative-dims"),
+])
+def test_infer_malformed_input_exits_2(tmp_path, capsys, target, blob, message):
+    cfg = write_cfg(tmp_path)
+    bundle = make_bundle(tmp_path, "s0", seed=18)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(blob)
+    left = str(bad) if target == "left" else str(bundle / "left.ppm")
+    argv = ["infer", left, str(bundle / "right.ppm"), "--config", cfg,
+            "--out", str(tmp_path / "out")]
+    if target == "checkpoint":
+        argv += ["--checkpoint", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, text="bogus_knob = 1\n")
     rc = main(["gradcheck", "--config", cfg])

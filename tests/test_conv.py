@@ -44,14 +44,6 @@ def test_conv2d_output_shape_formula():
     assert out.shape == (1, 1, (11 + 2 - 3) // 2 + 1, (13 + 4 - 5) // 3 + 1)
 
 
-def test_conv2d_circular_matches_naive():
-    x = rng.standard_normal((1, 2, 6, 8))
-    w = rng.standard_normal((3, 2, 3, 3))
-    got = ad.conv2d(ad.Tensor(x), ad.Tensor(w), None, (1, 1), (1, 1), pad_mode="circular")
-    want = conv2d_naive(x, w, None, (1, 1), (1, 1), pad_mode="circular")
-    assert np.allclose(got.data, want, atol=1e-12)
-
-
 @pytest.mark.parametrize(
     "shape,kshape,stride,padding",
     [
@@ -179,24 +171,6 @@ def test_conv2d_gradcheck():
         return ad.tsum(ad.mul(ad.conv2d(xt, w, t, (2, 2), (1, 1)), ad.Tensor(probe)))
 
     assert ad.grad_check(wrt_b, b.data.copy()) <= 1e-4
-
-
-def test_conv2d_circular_gradcheck():
-    x = rng.standard_normal((1, 1, 5, 5))
-    w = ad.Tensor(rng.standard_normal((2, 1, 3, 3)) * 0.5, requires_grad=True)
-    probe = rng.standard_normal((1, 2, 5, 5))
-
-    def wrt_x(t):
-        return ad.tsum(ad.mul(ad.conv2d(t, w, None, 1, 1, pad_mode="circular"), ad.Tensor(probe)))
-
-    assert ad.grad_check(wrt_x, x) <= 1e-4
-
-    xt = ad.Tensor(x)
-
-    def wrt_w(t):
-        return ad.tsum(ad.mul(ad.conv2d(xt, t, None, 1, 1, pad_mode="circular"), ad.Tensor(probe)))
-
-    assert ad.grad_check(wrt_w, w.data.copy()) <= 1e-4
 
 
 def test_conv3d_gradcheck():

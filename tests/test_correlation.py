@@ -7,7 +7,6 @@ from stereomatch import autodiff as ad
 from stereomatch.correlation import (
     AttentionFeatureVolume,
     CorrelationLift,
-    CostVolume,
     MatchingConfig,
     build_correlation,
 )
@@ -24,10 +23,8 @@ def test_identical_features_give_unit_zero_disparity_slice():
     rng = np.random.default_rng(0)
     f = rng.standard_normal((1, 4, 5, 8)) + 0.5
     vol = build_correlation(ad.Tensor(f), ad.Tensor(f), cfg16())
-    assert vol.data.shape == (1, 1, 4, 5, 8)
-    assert np.allclose(vol.data.data[0, 0, 0], 1.0, atol=1e-6)
-    assert vol.resolution == "quarter"
-    assert vol.disparity_stride == 1.0
+    assert vol.shape == (1, 1, 4, 5, 8)
+    assert np.allclose(vol.data[0, 0, 0], 1.0, atol=1e-6)
 
 
 def test_orthogonal_features_give_zero():
@@ -36,7 +33,7 @@ def test_orthogonal_features_give_zero():
     f_l[0, 0, 0, :] = 1.0  # left points along channel 0
     f_r[0, 1, 0, :] = 1.0  # right along channel 1
     vol = build_correlation(ad.Tensor(f_l), ad.Tensor(f_r), cfg16())
-    assert np.allclose(vol.data.data[0, 0, 0], 0.0, atol=1e-12)
+    assert np.allclose(vol.data[0, 0, 0], 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -44,7 +41,7 @@ def test_matches_scalar_loop_oracle(seed):
     rng = np.random.default_rng(seed)
     f_l = rng.standard_normal((1, 4, 6, 8))
     f_r = rng.standard_normal((1, 4, 6, 8))
-    got = build_correlation(ad.Tensor(f_l), ad.Tensor(f_r), cfg16()).data.data
+    got = build_correlation(ad.Tensor(f_l), ad.Tensor(f_r), cfg16()).data
     want = correlation_naive(f_l, f_r, 4, 1e-8)
     assert np.abs(got - want).max() <= 1e-10
 
@@ -53,7 +50,7 @@ def test_out_of_range_candidates_are_exact_zero():
     rng = np.random.default_rng(3)
     f_l = rng.standard_normal((2, 3, 4, 8)) + 1.0
     f_r = rng.standard_normal((2, 3, 4, 8)) + 1.0
-    vol = build_correlation(ad.Tensor(f_l), ad.Tensor(f_r), cfg16()).data.data
+    vol = build_correlation(ad.Tensor(f_l), ad.Tensor(f_r), cfg16()).data
     for d in range(4):
         if d:
             assert np.all(vol[:, :, d, :, :d] == 0.0)
@@ -65,8 +62,8 @@ def test_values_bounded_by_unit_cosine():
     f_l = rng.standard_normal((1, 8, 6, 10)) * 100.0
     f_r = rng.standard_normal((1, 8, 6, 10)) * 1e-3
     vol = build_correlation(ad.Tensor(f_l), ad.Tensor(f_r), MatchingConfig(max_disparity=24))
-    assert vol.data.data.max() <= 1.0 + 1e-6
-    assert vol.data.data.min() >= -1.0 - 1e-6
+    assert vol.data.max() <= 1.0 + 1e-6
+    assert vol.data.min() >= -1.0 - 1e-6
 
 
 def test_swap_transpose_relation():
@@ -74,7 +71,7 @@ def test_swap_transpose_relation():
     rng = np.random.default_rng(5)
     f_l = rng.standard_normal((1, 3, 2, 8))
     f_r = rng.standard_normal((1, 3, 2, 8))
-    v_lr = build_correlation(ad.Tensor(f_l), ad.Tensor(f_r), cfg16()).data.data
+    v_lr = build_correlation(ad.Tensor(f_l), ad.Tensor(f_r), cfg16()).data
     width, num_disp = 8, 4
     for d in range(num_disp):
         for y in range(2):
@@ -105,20 +102,20 @@ def test_matching_config_validation():
 def test_lift_shape_and_zero_map():
     cfg = MatchingConfig(max_disparity=32, corr_channels=8)
     lift = CorrelationLift(cfg, np.random.default_rng(0))
-    vol = CostVolume(ad.Tensor(np.random.default_rng(1).random((1, 1, 8, 16, 32))), 1.0, "quarter")
+    vol = ad.Tensor(np.random.default_rng(1).random((1, 1, 8, 16, 32)))
     out = lift(vol)
-    assert out.data.shape == (1, 8, 8, 16, 32)
+    assert out.shape == (1, 8, 8, 16, 32)
     for p in lift.parameters():
         p.data[...] = 0.0
     zeroed = lift(vol)
-    assert np.allclose(zeroed.data.data, 0.0, atol=1e-12)
+    assert np.allclose(zeroed.data, 0.0, atol=1e-12)
 
 
 def test_lift_rejects_multichannel():
     cfg = cfg16()
     lift = CorrelationLift(cfg, np.random.default_rng(0))
     with pytest.raises(ShapeError):
-        lift(CostVolume(ad.Tensor(np.zeros((1, 2, 4, 4, 4))), 1.0, "quarter"))
+        lift(ad.Tensor(np.zeros((1, 2, 4, 4, 4))))
 
 
 def test_lift_gradcheck():
@@ -128,7 +125,7 @@ def test_lift_gradcheck():
     probe = np.random.default_rng(4).standard_normal((1, 3, 2, 4, 4))
 
     def program(t):
-        out = lift(CostVolume(t, 1.0, "quarter")).data
+        out = lift(t)
         return ad.tsum(ad.mul(out, ad.Tensor(probe)))
 
     assert ad.grad_check(program, x, step=1e-4) <= 1e-4
@@ -143,17 +140,17 @@ class TestAttentionFeatureVolume:
         afv = self.make()
         rng = np.random.default_rng(1)
         f_l = rng.standard_normal((1, 6, 3, 5))
-        ones = CostVolume(ad.Tensor(np.ones((1, 4, 4, 3, 5))), 1.0, "quarter")
-        out = afv(ones, ad.Tensor(f_l)).data.data
+        ones = ad.Tensor(np.ones((1, 4, 4, 3, 5)))
+        out = afv(ones, ad.Tensor(f_l)).data
         proj = project1x1_naive(f_l, afv.project.weight.data)
         for d in range(4):
             assert np.allclose(out[:, :, d], proj, atol=1e-12)
 
     def test_zero_features_annihilate(self):
         afv = self.make()
-        vol = CostVolume(ad.Tensor(np.random.default_rng(2).random((1, 4, 4, 3, 5))), 1.0, "quarter")
+        vol = ad.Tensor(np.random.default_rng(2).random((1, 4, 4, 3, 5)))
         out = afv(vol, ad.Tensor(np.zeros((1, 6, 3, 5))))
-        assert np.all(out.data.data == 0.0)
+        assert np.all(out.data == 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_fiber_oracle(self, seed):
@@ -161,7 +158,7 @@ class TestAttentionFeatureVolume:
         rng = np.random.default_rng(100 + seed)
         f_l = rng.standard_normal((1, 6, 3, 4))
         a_corr = rng.standard_normal((1, 4, 5, 3, 4))
-        out = afv(CostVolume(ad.Tensor(a_corr), 1.0, "quarter"), ad.Tensor(f_l)).data.data
+        out = afv(ad.Tensor(a_corr), ad.Tensor(f_l)).data
         proj = project1x1_naive(f_l, afv.project.weight.data)
         worst = 0.0
         for c in range(4):
@@ -174,7 +171,7 @@ class TestAttentionFeatureVolume:
 
     def test_extent_mismatch_rejected(self):
         afv = self.make()
-        vol = CostVolume(ad.Tensor(np.zeros((1, 4, 4, 3, 5))), 1.0, "quarter")
+        vol = ad.Tensor(np.zeros((1, 4, 4, 3, 5)))
         with pytest.raises(ShapeError):
             afv(vol, ad.Tensor(np.zeros((1, 6, 3, 6))))
 
@@ -186,6 +183,6 @@ class TestAttentionFeatureVolume:
         f_l = ad.Tensor(rng.standard_normal((1, 5, 4, 6)), requires_grad=True)
         f_r = ad.Tensor(rng.standard_normal((1, 5, 4, 6)), requires_grad=True)
         volume = afv(lift(build_correlation(f_l, f_r, cfg)), f_l)
-        ad.backward(ad.tsum(ad.mul(volume.data, volume.data)), ensure=(f_l, f_r))
+        ad.backward(ad.tsum(ad.mul(volume, volume)), ensure=(f_l, f_r))
         assert np.any(f_l.grad != 0.0)
         assert np.any(f_r.grad != 0.0)

@@ -32,9 +32,7 @@ class TestForward:
         s = tiny_pair()
         d0, d1 = model(s.left, s.right)
         assert d0.values.shape == (1, 1, 8, 16)
-        assert d0.resolution == "quarter"
         assert d1.values.shape == (1, 1, 32, 64)
-        assert d1.resolution == "full"
 
     def test_same_config_builds_identical_models(self):
         a = StereoModel(tiny_config())

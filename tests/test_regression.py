@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from stereomatch import autodiff as ad
-from stereomatch.correlation import CostVolume
 from stereomatch.errors import ShapeError
 from stereomatch.regression import (
     DisparityMap,
@@ -75,10 +74,9 @@ class TestTop2:
         top2_softargmax(ad.Tensor(np.zeros((1, 1, 2, 2, 2))))  # D=2 is fine
 
     def test_wrapper_keeps_resolution(self):
-        vol = CostVolume(ad.Tensor(np.random.default_rng(0).random((1, 1, 4, 2, 2))), 1.0, "quarter")
+        vol = ad.Tensor(np.random.default_rng(0).random((1, 1, 4, 2, 2)))
         d0 = top2_regression(vol)
         assert isinstance(d0, DisparityMap)
-        assert d0.resolution == "quarter"
         assert d0.values.shape == (1, 1, 2, 2)
 
     def test_gradcheck(self):
@@ -153,10 +151,9 @@ class TestSuperpixelUpsample:
     def test_constant_field_scales_by_four(self):
         up = self.build()
         rng = np.random.default_rng(1)
-        d0 = DisparityMap(ad.Tensor(np.full((1, 1, 4, 8), 2.75)), "quarter")
+        d0 = DisparityMap(ad.Tensor(np.full((1, 1, 4, 8), 2.75)))
         ctx = ad.Tensor(rng.standard_normal((1, 6, 4, 8)))
         d1 = up(d0, ctx)
-        assert d1.resolution == "full"
         assert d1.values.shape == (1, 1, 16, 32)
         assert np.allclose(d1.values.data, 4 * 2.75, atol=1e-10)
 
@@ -169,7 +166,7 @@ class TestSuperpixelUpsample:
             up.conv2.bias.data[4 * 16 + p] = 50.0
         rng = np.random.default_rng(2)
         coarse = rng.standard_normal((1, 1, 3, 4))
-        d0 = DisparityMap(ad.Tensor(coarse), "quarter")
+        d0 = DisparityMap(ad.Tensor(coarse))
         d1 = up(d0, ad.Tensor(rng.standard_normal((1, 6, 3, 4)))).values.data
         want = 4.0 * np.repeat(np.repeat(coarse, 4, axis=2), 4, axis=3)
         assert np.allclose(d1, want, atol=1e-8)
@@ -179,7 +176,7 @@ class TestSuperpixelUpsample:
         rng = np.random.default_rng(4)
         coarse = rng.uniform(0.0, 10.0, (1, 1, 5, 6))
         ctx = ad.Tensor(rng.standard_normal((1, 6, 5, 6)) * 2.0)
-        d1 = up(DisparityMap(ad.Tensor(coarse), "quarter"), ctx).values.data
+        d1 = up(DisparityMap(ad.Tensor(coarse)), ctx).values.data
         padded = np.pad(coarse, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="edge")
         for fy in range(20):
             for fx in range(24):
@@ -190,7 +187,7 @@ class TestSuperpixelUpsample:
 
     def test_shape_mismatch_rejected(self):
         up = self.build()
-        d0 = DisparityMap(ad.Tensor(np.zeros((1, 1, 4, 4))), "quarter")
+        d0 = DisparityMap(ad.Tensor(np.zeros((1, 1, 4, 4))))
         with pytest.raises(ShapeError):
             up(d0, ad.Tensor(np.zeros((1, 6, 4, 5))))
 
@@ -203,7 +200,7 @@ class TestSuperpixelUpsample:
         probe = rng.standard_normal((1, 1, 8, 12))
 
         def wrt_d0(t):
-            out = up(DisparityMap(t, "quarter"), ctx_t).values
+            out = up(DisparityMap(t), ctx_t).values
             return ad.tsum(ad.mul(out, ad.Tensor(probe)))
 
         assert ad.grad_check(wrt_d0, coarse, step=1e-4) <= 1e-4
@@ -211,7 +208,7 @@ class TestSuperpixelUpsample:
         d0_t = ad.Tensor(coarse)
 
         def wrt_ctx(t):
-            out = up(DisparityMap(d0_t, "quarter"), t).values
+            out = up(DisparityMap(d0_t), t).values
             return ad.tsum(ad.mul(out, ad.Tensor(probe)))
 
         assert ad.grad_check(wrt_ctx, ctx, step=1e-4) <= 1e-4

@@ -134,7 +134,7 @@ def test_softmax_extreme_inputs():
     assert y[0, 1] < 1e-12
 
 
-def test_reshape_narrow_concat_expand_values():
+def test_reshape_narrow_concat_values():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((2, 6))
     t = ad.Tensor(x)
@@ -142,13 +142,6 @@ def test_reshape_narrow_concat_expand_values():
     assert np.array_equal(ad.narrow(t, 1, 2, 3).data, x[:, 2:5])
     two = ad.concat([t, t], axis=0)
     assert np.array_equal(two.data, np.concatenate([x, x], axis=0))
-    grown = ad.expand(ad.Tensor(x[:, :1]), (2, 6))
-    assert np.array_equal(grown.data, np.broadcast_to(x[:, :1], (2, 6)))
-
-
-def test_expand_rejects_non_unit_axis():
-    with pytest.raises(ShapeError):
-        ad.expand(ad.Tensor(np.zeros((2, 3))), (2, 6))
 
 
 def test_narrow_out_of_range():
@@ -205,11 +198,16 @@ def test_gradcheck_sqrt_and_abs():
     assert err <= 1e-4
 
 
-def test_gradcheck_expand():
+def test_gradcheck_broadcast_mul():
+    # a unit middle axis, as when a [B,C,1,H,W] map gates a [B,C,D,H,W] volume:
+    # the gradient of each operand is reduced back to its own shape
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((3, 1))
-    w = rng.standard_normal((2, 3, 4))
-    err = ad.grad_check(lambda t: ad.tsum(ad.mul(ad.expand(t, (2, 3, 4)), ad.Tensor(w))), x)
+    x = rng.standard_normal((3, 1, 4))
+    w = rng.standard_normal((3, 5, 4))
+    probe = ad.Tensor(rng.standard_normal((3, 5, 4)))
+    err = ad.grad_check(lambda t: ad.tsum(ad.mul(ad.mul(t, ad.Tensor(w)), probe)), x)
+    assert err <= 1e-4
+    err = ad.grad_check(lambda t: ad.tsum(ad.mul(ad.mul(ad.Tensor(x), t), probe)), w)
     assert err <= 1e-4
 
 
