@@ -29,7 +29,6 @@ __all__ = [
     "sigmoid",
     "leaky_relu",
     "reshape",
-    "narrow",
     "concat",
     "tsum",
     "softmax",
@@ -103,44 +102,9 @@ class Tensor:
         """Return a value-identical tensor through which no gradient flows."""
         return Tensor(self.data)
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    # -- operators ----------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 def _lift(value) -> Tensor:
@@ -347,27 +311,6 @@ def reshape(t, shape: tuple[int, ...]) -> Tensor:
         return (g.reshape(in_shape),)
 
     return _node(out_data, (t,), bw)
-
-
-def narrow(t, axis: int, start: int, length: int) -> Tensor:
-    """Slice `length` entries starting at `start` along `axis`."""
-    t = _lift(t)
-    extent = t.shape[axis]
-    if start < 0 or length < 0 or start + length > extent:
-        raise ShapeError(
-            f"narrow: window [{start}, {start + length}) exceeds extent {extent} on axis {axis}"
-        )
-    index = [slice(None)] * t.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-    in_shape = t.shape
-
-    def bw(g):
-        full = np.zeros(in_shape)
-        full[index] = g
-        return (full,)
-
-    return _node(t.data[index].copy(), (t,), bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:

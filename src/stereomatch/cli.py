@@ -31,7 +31,7 @@ from .correlation import (
     build_correlation,
 )
 from .errors import ConfigError, DataFormatError, ShapeError, StereoMatchError
-from .fileio import load_sample, read_pfm, read_pgm, read_ppm, write_pfm
+from .fileio import atomic_write, load_sample, read_pfm, read_pgm, read_ppm, write_pfm
 from .losses import bilinear_upsample, smooth_l1, total_loss, upsample_disparity
 from .metrics import evaluate, valid_mask_from_gt
 from .model import StereoModel
@@ -95,7 +95,6 @@ def gradcheck_suite():
         ("reshape", lambda: grad_check(_probed(lambda t: ad.reshape(t, (4, 3))), x34)),
         ("mul_broadcast", lambda: grad_check(
             _probed(lambda t: ad.mul(ad.reshape(t, (3, 1, 4)), Tensor(y354))), x34)),
-        ("narrow", lambda: grad_check(_probed(lambda t: ad.narrow(t, 1, 1, 2)), x34)),
         ("concat", lambda: grad_check(
             _probed(lambda t: ad.concat([t, Tensor(y34), t], axis=1)), x34)),
     ]
@@ -270,11 +269,8 @@ def _resolve_config(args) -> RunConfig:
 def _write_manifest(out_dir: str, manifest: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "manifest.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
+    with atomic_write(path) as f:
+        f.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def _manifest_base(command: str, rc: RunConfig, out_dir: str) -> dict:
@@ -329,7 +325,7 @@ def cmd_infer(args) -> int:
     if args.save_d0:
         outputs["d0.pfm"] = d0.values.data[0, 0]
     for name, field in outputs.items():
-        with open(os.path.join(args.out, name), "wb") as f:
+        with atomic_write(os.path.join(args.out, name)) as f:
             f.write(write_pfm(field.astype(np.float32)))
 
     manifest = _manifest_base("infer", rc, args.out)

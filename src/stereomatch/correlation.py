@@ -16,6 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
+from .autodiff.tensor import _node
 from .errors import ConfigError, ShapeError
 
 
@@ -37,6 +38,23 @@ class MatchingConfig:
         return self
 
 
+def _shift_stack(t: Tensor, num_disp: int) -> Tensor:
+    """Map [B,C,H,W] to [B,C,D,H,W]: slice d is `t` shifted right by d
+    columns, with exact zeros in the d columns it leaves empty."""
+    width = t.shape[3]
+    out = np.zeros(t.shape[:2] + (num_disp,) + t.shape[2:])
+    for d in range(num_disp):
+        out[:, :, d, :, d:] = t.data[..., : width - d]
+
+    def bw(g):
+        grad = np.zeros(t.shape)
+        for d in range(num_disp):
+            grad[..., : width - d] += g[:, :, d, :, d:]
+        return (grad,)
+
+    return _node(out, (t,), bw)
+
+
 def build_correlation(f_l: Tensor, f_r: Tensor, cfg: MatchingConfig) -> Tensor:
     """Cosine similarity between left features and d-shifted right features.
 
@@ -50,7 +68,7 @@ def build_correlation(f_l: Tensor, f_r: Tensor, cfg: MatchingConfig) -> Tensor:
         raise ShapeError(f"feature shapes differ: {f_l.shape} vs {f_r.shape}")
     if f_l.ndim != 4:
         raise ShapeError(f"expected [B,C,H,W] features, got {f_l.shape}")
-    batch, _, height, width = f_l.shape
+    batch, channels, height, width = f_l.shape
     num_disp = cfg.max_disparity // 4
     if num_disp > width:
         raise ShapeError(
@@ -62,19 +80,12 @@ def build_correlation(f_l: Tensor, f_r: Tensor, cfg: MatchingConfig) -> Tensor:
     norm_l = ad.sqrt(ad.add(ad.tsum(ad.mul(f_l, f_l), axis=1, keepdims=True), 1e-30))
     norm_r = ad.sqrt(ad.add(ad.tsum(ad.mul(f_r, f_r), axis=1, keepdims=True), 1e-30))
 
-    slices = []
-    for d in range(num_disp):
-        if d == 0:
-            shifted, shifted_norm = f_r, norm_r
-        else:
-            zeros_f = Tensor(np.zeros((batch, f_r.shape[1], height, d)))
-            zeros_n = Tensor(np.zeros((batch, 1, height, d)))
-            shifted = ad.concat([zeros_f, ad.narrow(f_r, 3, 0, width - d)], axis=3)
-            shifted_norm = ad.concat([zeros_n, ad.narrow(norm_r, 3, 0, width - d)], axis=3)
-        numer = ad.tsum(ad.mul(f_l, shifted), axis=1, keepdims=True)
-        denom = ad.add(ad.mul(norm_l, shifted_norm), cfg.epsilon)
-        slices.append(ad.div(numer, denom))
-    return ad.reshape(ad.concat(slices, axis=1), (batch, 1, num_disp, height, width))
+    numer = ad.tsum(
+        ad.mul(ad.reshape(f_l, (batch, channels, 1, height, width)), _shift_stack(f_r, num_disp)),
+        axis=1, keepdims=True,
+    )
+    norms = ad.mul(ad.reshape(norm_l, (batch, 1, 1, height, width)), _shift_stack(norm_r, num_disp))
+    return ad.div(numer, ad.add(norms, cfg.epsilon))
 
 
 class CorrelationLift(nn.Module):

@@ -8,8 +8,9 @@ left.ppm / right.ppm / disp.pfm / mask.pgm.
 
 from __future__ import annotations
 
+import contextlib
 import os
-from typing import Tuple
+from typing import BinaryIO, Iterator, Tuple
 
 import numpy as np
 
@@ -17,6 +18,22 @@ from .autodiff import Tensor
 from .errors import DataFormatError, ShapeError
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+@contextlib.contextmanager
+def atomic_write(path: str) -> Iterator[BinaryIO]:
+    """Open `path` for binary writing through a sibling temporary file that
+    replaces `path` only when the block completes.  If the block raises, the
+    temporary file is removed and whatever was at `path` stays as it was."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _next_token(data: bytes, pos: int) -> Tuple[bytes, int, int]:

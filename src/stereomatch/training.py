@@ -9,6 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DataFormatError, ShapeError
+from .fileio import atomic_write
 from .losses import total_loss, upsample_disparity
 from .model import StereoModel
 from .synthetic import StereoSample, synth_stereo
@@ -89,22 +90,26 @@ def sample_loss(model: StereoModel, sample: StereoSample):
 
 
 def train_step(model: StereoModel, optim: Adam, sample: StereoSample) -> tuple[float, bool]:
-    """One forward/backward/update.  A non-finite loss rejects the step:
-    parameters and optimizer state stay untouched and a diagnostic goes to
-    stderr.  Returns (loss value, whether the update was applied)."""
+    """One forward/backward/update.  A non-finite loss or parameter gradient
+    rejects the step: parameters and optimizer state stay untouched and a
+    diagnostic goes to stderr.  Returns (loss value, whether the update was
+    applied)."""
     model.zero_grad()
     loss = sample_loss(model, sample)
     value = loss.item()
-    if not np.isfinite(value):
-        print(
-            f"train_step: rejecting update at optimizer step {optim.t + 1}: "
-            f"loss is {value!r}",
-            file=sys.stderr,
-        )
-        return value, False
-    ad.backward(loss, ensure=[p for _, p in optim.params])
-    optim.step()
-    return value, True
+    if np.isfinite(value):
+        ad.backward(loss, ensure=[p for _, p in optim.params])
+        bad = [name for name, p in optim.params
+               if p.grad is not None and not np.isfinite(p.grad).all()]
+        if not bad:
+            optim.step()
+            return value, True
+        reason = f"non-finite gradient in {len(bad)} parameter(s), first {bad[0]}"
+    else:
+        reason = f"loss is {value!r}"
+    print(f"train_step: rejecting update at optimizer step {optim.t + 1}: {reason}",
+          file=sys.stderr)
+    return value, False
 
 
 @dataclass
@@ -145,9 +150,10 @@ _CHECKPOINT_MAGIC = b"STCKPT1\n"
 
 def save_checkpoint(model: StereoModel, path: str) -> None:
     """Parameters and normalization buffers as named little-endian float64
-    arrays, in registration order."""
+    arrays, in registration order.  An existing file at `path` is replaced
+    only once the whole checkpoint is written."""
     arrays = model.state_arrays()
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(_CHECKPOINT_MAGIC)
         f.write(f"{len(arrays)}\n".encode("ascii"))
         for name, arr in arrays.items():
@@ -158,7 +164,8 @@ def save_checkpoint(model: StereoModel, path: str) -> None:
 
 def load_checkpoint(model: StereoModel, path: str) -> None:
     """Restore a checkpoint in place.  Every stored array must match the
-    model's entry of the same name and shape, and vice versa."""
+    model's entry of the same name and shape, and vice versa, and nothing may
+    follow the last entry."""
     arrays = model.state_arrays()
     with open(path, "rb") as f:
         if f.read(len(_CHECKPOINT_MAGIC)) != _CHECKPOINT_MAGIC:
@@ -188,6 +195,8 @@ def load_checkpoint(model: StereoModel, path: str) -> None:
                 raise DataFormatError(f"{path}: truncated data for {name!r}")
             target[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
             seen.append(name)
+        if f.read(1):
+            raise DataFormatError(f"{path}: unexpected data after the last entry")
     missing = [n for n in arrays if n not in seen]
     if missing:
         raise DataFormatError(f"{path}: checkpoint is missing entries {missing}")

@@ -10,14 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def conv2d_naive(x, w, bias=None, stride=(1, 1), padding=(0, 0), pad_mode="zeros"):
+def conv2d_naive(x, w, bias=None, stride=(1, 1), padding=(0, 0)):
     batch, cin, height, width = x.shape
     cout, cin_w, kh, kw = w.shape
     assert cin == cin_w
     sh, sw = stride
     ph, pw = padding
-    mode = "constant" if pad_mode == "zeros" else "wrap"
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode=mode)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     ho = (height + 2 * ph - kh) // sh + 1
     wo = (width + 2 * pw - kw) // sw + 1
     out = np.zeros((batch, cout, ho, wo))
@@ -36,14 +35,13 @@ def conv2d_naive(x, w, bias=None, stride=(1, 1), padding=(0, 0), pad_mode="zeros
     return out
 
 
-def conv3d_naive(x, w, bias=None, stride=(1, 1, 1), padding=(0, 0, 0), pad_mode="zeros"):
+def conv3d_naive(x, w, bias=None, stride=(1, 1, 1), padding=(0, 0, 0)):
     batch, cin, depth, height, width = x.shape
     cout, cin_w, kd, kh, kw = w.shape
     assert cin == cin_w
     sd, sh, sw = stride
     pd, ph, pw = padding
-    mode = "constant" if pad_mode == "zeros" else "wrap"
-    xp = np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)), mode=mode)
+    xp = np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
     do = (depth + 2 * pd - kd) // sd + 1
     ho = (height + 2 * ph - kh) // sh + 1
     wo = (width + 2 * pw - kw) // sw + 1

@@ -84,6 +84,42 @@ def test_swap_transpose_relation():
                 assert abs(v_lr[0, 0, d, y, x] - v_rl) <= 1e-12
 
 
+def _graph_size(out):
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_graph_size_does_not_grow_with_disparity_range():
+    rng = np.random.default_rng(8)
+    sizes = []
+    for max_disparity in (16, 64):
+        f_l = ad.Tensor(rng.standard_normal((1, 3, 2, 16)), requires_grad=True)
+        f_r = ad.Tensor(rng.standard_normal((1, 3, 2, 16)), requires_grad=True)
+        vol = build_correlation(f_l, f_r, MatchingConfig(max_disparity=max_disparity))
+        sizes.append(_graph_size(vol))
+    assert sizes[0] == sizes[1]
+
+
+@pytest.mark.parametrize("wrt_right", [False, True])
+def test_gradcheck_every_coordinate_at_full_range(wrt_right):
+    """D == width: every column has at least one zero-filled candidate."""
+    rng = np.random.default_rng(9)
+    f_l = rng.standard_normal((2, 3, 2, 4))
+    f_r = rng.standard_normal((2, 3, 2, 4))
+    probe = ad.Tensor(rng.standard_normal((2, 1, 4, 2, 4)))
+
+    def program(t):
+        left, right = (ad.Tensor(f_l), t) if wrt_right else (t, ad.Tensor(f_r))
+        return ad.tsum(ad.mul(build_correlation(left, right, cfg16()), probe))
+
+    assert ad.grad_check(program, f_r if wrt_right else f_l) <= 1e-4
+
+
 def test_rejects_oversized_disparity_range():
     f = ad.Tensor(np.ones((1, 2, 4, 3)))
     with pytest.raises(ShapeError):

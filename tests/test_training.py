@@ -1,5 +1,7 @@
 """Adam updates, schedules, checkpoints, and the training loop."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,29 @@ class TestTrainStep:
                 continue  # train-mode forward alone moves normalization stats
             assert np.array_equal(arr, before[name]), name
 
+    def test_nonfinite_gradient_rejects_update(self, capsys, monkeypatch):
+        model = tiny_model()
+        optim = Adam(model)
+        real_backward = ad.backward
+
+        def poisoned_backward(loss, ensure=()):
+            real_backward(loss, ensure)
+            p = optim.params[3][1]
+            p.grad = np.array(p.grad)
+            p.grad.flat[0] = np.nan
+
+        monkeypatch.setattr(ad, "backward", poisoned_backward)
+        before = {name: p.data.copy() for name, p in model.named_parameters()}
+        value, stepped = train_step(model, optim, tiny_sample())
+        assert np.isfinite(value)
+        assert not stepped
+        assert optim.t == 0
+        assert all(not m.any() for m in optim.m.values())
+        assert all(not v.any() for v in optim.v.values())
+        assert "non-finite gradient" in capsys.readouterr().err
+        for name, p in model.named_parameters():
+            assert np.array_equal(p.data, before[name]), name
+
     def test_loss_decreases_on_fixed_batch(self):
         # median over 3 seeds: final loss under the initial loss
         wins = 0
@@ -189,3 +214,23 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-100])
         with pytest.raises(DataFormatError, match="truncated"):
             load_checkpoint(tiny_model(), str(path))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model(), str(path))
+        path.write_bytes(path.read_bytes() + b"\0" * 28)
+        with pytest.raises(DataFormatError, match="after the last entry"):
+            load_checkpoint(tiny_model(), str(path))
+
+    def test_failed_save_leaves_existing_checkpoint(self, tmp_path, monkeypatch):
+        model = tiny_model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, str(path))
+        before = path.read_bytes()
+        # the last entry cannot be encoded, so the save fails after the others
+        arrays = dict(model.state_arrays(), broken=np.array(["not a number"]))
+        monkeypatch.setattr(model, "state_arrays", lambda: arrays)
+        with pytest.raises(ValueError):
+            save_checkpoint(model, str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
