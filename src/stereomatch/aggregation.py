@@ -68,12 +68,12 @@ class ContextGeometryFusion(nn.Module):
     """
 
     def __init__(self, geom_channels: int, ctx_channels: int, kernel: int,
-                 rng: np.random.Generator, slope: float = 0.2):
+                 rng: np.random.Generator):
         super().__init__()
         k = (1, kernel, kernel)
-        self.project = nn.Conv2d(ctx_channels, geom_channels, 1, rng, bias=False)
-        self.attend = nn.Conv3d(geom_channels, geom_channels, k, rng, bias=True)
-        self.fuse = nn.ConvBnLeaky3d(geom_channels, geom_channels, k, rng, slope=slope)
+        self.project = nn.Conv(ctx_channels, geom_channels, (1, 1), rng, bias=False)
+        self.attend = nn.Conv(geom_channels, geom_channels, k, rng)
+        self.fuse = nn.ConvBnLeaky(geom_channels, geom_channels, k, rng)
 
     def forward(self, g: Tensor, ctx: Tensor, detach_context: bool = False) -> Tensor:
         if g.ndim != 5 or ctx.ndim != 4:
@@ -98,10 +98,10 @@ class ContextGeometryFusion(nn.Module):
 class _DownsampleBlock(nn.Module):
     """conv3d k=3 s=2 then conv3d k=3 s=1, each + BatchNorm + leaky ReLU."""
 
-    def __init__(self, in_ch, out_ch, rng, slope):
+    def __init__(self, in_ch, out_ch, rng):
         super().__init__()
-        self.down = nn.ConvBnLeaky3d(in_ch, out_ch, 3, rng, stride=2, slope=slope)
-        self.post = nn.ConvBnLeaky3d(out_ch, out_ch, 3, rng, slope=slope)
+        self.down = nn.ConvBnLeaky(in_ch, out_ch, (3, 3, 3), rng, stride=2)
+        self.post = nn.ConvBnLeaky(out_ch, out_ch, (3, 3, 3), rng)
 
     def forward(self, x):
         return self.post(self.down(x))
@@ -111,16 +111,16 @@ class _UpsampleBlock(nn.Module):
     """Transposed conv3d k=4 s=2 + BN + leaky ReLU; after the caller adds the
     skip, two conv3d k=3 s=1 blocks refine the merged volume."""
 
-    def __init__(self, in_ch, out_ch, rng, slope):
+    def __init__(self, in_ch, out_ch, rng):
         super().__init__()
-        self.up = nn.ConvTranspose3d(in_ch, out_ch, 4, rng, stride=2, padding=1, bias=False)
+        self.up = nn.Conv(in_ch, out_ch, (4, 4, 4), rng, stride=2, padding=1, bias=False,
+                          transpose=True)
         self.up_bn = nn.BatchNorm(out_ch)
-        self.refine1 = nn.ConvBnLeaky3d(out_ch, out_ch, 3, rng, slope=slope)
-        self.refine2 = nn.ConvBnLeaky3d(out_ch, out_ch, 3, rng, slope=slope)
-        self.slope = slope
+        self.refine1 = nn.ConvBnLeaky(out_ch, out_ch, (3, 3, 3), rng)
+        self.refine2 = nn.ConvBnLeaky(out_ch, out_ch, (3, 3, 3), rng)
 
     def forward(self, x, skip):
-        y = ad.leaky_relu(self.up_bn(self.up(x)), self.slope)
+        y = ad.leaky_relu(self.up_bn(self.up(x)), nn.LEAKY_SLOPE)
         if y.shape != skip.shape:
             raise ShapeError(f"skip shape {skip.shape} does not match upsampled {y.shape}")
         return self.refine2(self.refine1(ad.add(y, skip)))
@@ -128,17 +128,17 @@ class _UpsampleBlock(nn.Module):
 
 class Encoder(nn.Module):
     def __init__(self, base_channels: int, ctx_channels: tuple[int, int, int],
-                 cfg: CgfConfig, rng: np.random.Generator, slope: float = 0.2):
+                 cfg: CgfConfig, rng: np.random.Generator):
         super().__init__()
         cfg.validate()
         self.cfg = cfg
         c = base_channels
         plan = [(c, 2 * c), (2 * c, 4 * c), (4 * c, 6 * c)]
-        self.blocks = nn.ModuleList([_DownsampleBlock(i, o, rng, slope) for i, o in plan])
+        self.blocks = nn.ModuleList([_DownsampleBlock(i, o, rng) for i, o in plan])
         self.fusers = None
         if "encoder" in cfg.positions:
             self.fusers = nn.ModuleList([
-                ContextGeometryFusion(out_ch, ctx_ch, cfg.fusion_kernel, rng, slope)
+                ContextGeometryFusion(out_ch, ctx_ch, cfg.fusion_kernel, rng)
                 for (_, out_ch), ctx_ch in zip(plan, ctx_channels)
             ])
 
@@ -162,7 +162,7 @@ class Encoder(nn.Module):
 
 class Decoder(nn.Module):
     def __init__(self, base_channels: int, ctx_channels: tuple[int, int, int],
-                 cfg: CgfConfig, rng: np.random.Generator, slope: float = 0.2):
+                 cfg: CgfConfig, rng: np.random.Generator):
         super().__init__()
         cfg.validate()
         self.cfg = cfg
@@ -173,16 +173,16 @@ class Decoder(nn.Module):
             # the encoder's fusers, so both placements cost equal parameters)
             c8, c16, c32 = ctx_channels
             self.fusers = nn.ModuleList([
-                ContextGeometryFusion(6 * c, c32, cfg.fusion_kernel, rng, slope),
-                ContextGeometryFusion(4 * c, c16, cfg.fusion_kernel, rng, slope),
-                ContextGeometryFusion(2 * c, c8, cfg.fusion_kernel, rng, slope),
+                ContextGeometryFusion(6 * c, c32, cfg.fusion_kernel, rng),
+                ContextGeometryFusion(4 * c, c16, cfg.fusion_kernel, rng),
+                ContextGeometryFusion(2 * c, c8, cfg.fusion_kernel, rng),
             ])
-        self.up1 = _UpsampleBlock(6 * c, 4 * c, rng, slope)
-        self.up2 = _UpsampleBlock(4 * c, 2 * c, rng, slope)
-        self.up3 = _UpsampleBlock(2 * c, c, rng, slope)
+        self.up1 = _UpsampleBlock(6 * c, 4 * c, rng)
+        self.up2 = _UpsampleBlock(4 * c, 2 * c, rng)
+        self.up3 = _UpsampleBlock(2 * c, c, rng)
         # No bias: the top-2 readout is invariant to a uniform shift of the
         # cost volume, so a bias here could never receive gradient signal.
-        self.head = nn.Conv3d(c, 1, 3, rng, bias=False)
+        self.head = nn.Conv(c, 1, (3, 3, 3), rng, bias=False)
 
     def forward(self, pyr: GeometryPyramid, ctx: FeaturePyramid) -> Tensor:
         detach = self.cfg.detach_context

@@ -33,24 +33,26 @@ def _norm_tuple(value, n: int, name: str) -> tuple[int, ...]:
     return value
 
 
-def _pad_spatial(x: np.ndarray, padding: tuple[int, ...]) -> np.ndarray:
-    if not any(padding):
-        return x
-    return np.pad(x, [(0, 0), (0, 0)] + [(p, p) for p in padding])
+def _windows(x, kshape, stride, padding) -> np.ndarray:
+    """Kernel-sized windows of the zero-padded x [B,C,*S], one per output
+    position: [B,C,*O,*K]."""
+    nsp = x.ndim - 2
+    if any(padding):
+        x = np.pad(x, [(0, 0), (0, 0)] + [(p, p) for p in padding])
+    for ax in range(nsp):
+        if x.shape[2 + ax] < kshape[ax]:
+            raise ShapeError(
+                f"spatial axis {ax}: padded extent {x.shape[2 + ax]} is smaller "
+                f"than kernel extent {kshape[ax]}"
+            )
+    win = sliding_window_view(x, kshape, axis=tuple(range(2, 2 + nsp)))
+    return win[(slice(None), slice(None)) + tuple(slice(None, None, s) for s in stride)]
 
 
 def _corr_forward(x, w, stride, padding) -> np.ndarray:
     """Plain strided correlation of x [B,Ci,*S] with w [Co,Ci,*K] -> [B,Co,*O]."""
     nsp = x.ndim - 2
-    xp = _pad_spatial(x, padding)
-    for ax in range(nsp):
-        if xp.shape[2 + ax] < w.shape[2 + ax]:
-            raise ShapeError(
-                f"spatial axis {ax}: padded extent {xp.shape[2 + ax]} is smaller "
-                f"than kernel extent {w.shape[2 + ax]}"
-            )
-    win = sliding_window_view(xp, w.shape[2:], axis=tuple(range(2, 2 + nsp)))
-    win = win[(slice(None), slice(None)) + tuple(slice(None, None, s) for s in stride)]
+    win = _windows(x, w.shape[2:], stride, padding)
     axes_x = [1] + list(range(2 + nsp, 2 + 2 * nsp))
     axes_w = [1] + list(range(2, 2 + nsp))
     out = np.tensordot(win, w, axes=(axes_x, axes_w))
@@ -59,12 +61,9 @@ def _corr_forward(x, w, stride, padding) -> np.ndarray:
 
 def _corr_kernel_grad(x, g, stride, padding, kshape) -> np.ndarray:
     """Gradient of the correlation above with respect to the kernel."""
-    nsp = x.ndim - 2
-    xp = _pad_spatial(x, padding)
-    win = sliding_window_view(xp, kshape, axis=tuple(range(2, 2 + nsp)))
-    win = win[(slice(None), slice(None)) + tuple(slice(None, None, s) for s in stride)]
-    axes = ([0] + list(range(2, 2 + nsp)), [0] + list(range(2, 2 + nsp)))
-    return np.tensordot(g, win, axes=axes)
+    spatial = list(range(2, x.ndim))
+    win = _windows(x, kshape, stride, padding)
+    return np.tensordot(g, win, axes=([0] + spatial, [0] + spatial))
 
 
 def _corr_input_grad(g, w, stride, padding, in_spatial) -> np.ndarray:
@@ -94,84 +93,57 @@ def _corr_input_grad(g, w, stride, padding, in_spatial) -> np.ndarray:
     return np.ascontiguousarray(dxp[crop])
 
 
-def _check_conv_args(x: Tensor, w: Tensor, nsp: int, op: str) -> None:
+def _conv(x, w, bias, stride, padding, nsp, op, transpose) -> Tensor:
+    """One conv node.  A conv correlates x with w [Co,Ci,*K]; a transposed
+    conv applies the adjoint of that map with w [Ci,Co,*K].  Each direction's
+    backward is the other direction, so the two share every kernel."""
+    x, w = _lift(x), _lift(w)
     if x.ndim != nsp + 2:
         raise ShapeError(f"{op}: input must have {nsp + 2} axes, got shape {x.shape}")
     if w.ndim != nsp + 2:
         raise ShapeError(f"{op}: kernel must have {nsp + 2} axes, got shape {w.shape}")
-
-
-def _conv_nd(x, w, bias, stride, padding, nsp, op) -> Tensor:
-    x, w = _lift(x), _lift(w)
-    _check_conv_args(x, w, nsp, op)
     stride = _norm_tuple(stride, nsp, f"{op} stride")
     padding = _norm_tuple(padding, nsp, f"{op} padding")
     if any(s < 1 for s in stride):
         raise ShapeError(f"{op}: stride must be positive, got {stride}")
-    if x.shape[1] != w.shape[1]:
+    cin, cout = (w.shape[0], w.shape[1]) if transpose else (w.shape[1], w.shape[0])
+    if x.shape[1] != cin:
         raise ShapeError(
-            f"{op}: input channel axis has extent {x.shape[1]} but kernel expects {w.shape[1]}"
+            f"{op}: input channel axis has extent {x.shape[1]} but kernel expects {cin}"
         )
+    kshape = w.shape[2:]
+    if transpose:
+        out_spatial = tuple(
+            (x.shape[2 + i] - 1) * stride[i] - 2 * padding[i] + kshape[i] for i in range(nsp)
+        )
+        for ax, extent in enumerate(out_spatial):
+            if extent < 1:
+                raise ShapeError(
+                    f"{op}: computed output extent {extent} on spatial axis {ax} "
+                    f"(input {x.shape[2 + ax]}, kernel {kshape[ax]}, stride {stride[ax]}, "
+                    f"padding {padding[ax]})"
+                )
     parents = [x, w]
     if bias is not None:
         bias = _lift(bias)
-        if bias.shape != (w.shape[0],):
-            raise ShapeError(f"{op}: bias shape {bias.shape} != ({w.shape[0]},)")
+        if bias.shape != (cout,):
+            raise ShapeError(f"{op}: bias shape {bias.shape} != ({cout},)")
         parents.append(bias)
 
-    out = _corr_forward(x.data, w.data, stride, padding)
-    if bias is not None:
-        out = out + bias.data.reshape((1, -1) + (1,) * nsp)
-    in_spatial = x.shape[2:]
-    kshape = w.shape[2:]
-
-    def bw(g):
-        gx = _corr_input_grad(g, w.data, stride, padding, in_spatial)
-        gw = _corr_kernel_grad(x.data, g, stride, padding, kshape)
-        if bias is None:
-            return gx, gw
-        gb = g.sum(axis=(0,) + tuple(range(2, 2 + nsp)))
-        return gx, gw, gb
-
-    return _node(out, parents, bw)
-
-
-def _conv_transpose_nd(x, w, bias, stride, padding, nsp, op) -> Tensor:
-    x, w = _lift(x), _lift(w)
-    _check_conv_args(x, w, nsp, op)
-    stride = _norm_tuple(stride, nsp, f"{op} stride")
-    padding = _norm_tuple(padding, nsp, f"{op} padding")
-    if any(s < 1 for s in stride):
-        raise ShapeError(f"{op}: stride must be positive, got {stride}")
-    if x.shape[1] != w.shape[0]:
-        raise ShapeError(
-            f"{op}: input channel axis has extent {x.shape[1]} but kernel expects {w.shape[0]}"
-        )
-    kshape = w.shape[2:]
-    out_spatial = tuple(
-        (x.shape[2 + i] - 1) * stride[i] - 2 * padding[i] + kshape[i] for i in range(nsp)
-    )
-    for ax, extent in enumerate(out_spatial):
-        if extent < 1:
-            raise ShapeError(
-                f"{op}: computed output extent {extent} on spatial axis {ax} "
-                f"(input {x.shape[2 + ax]}, kernel {kshape[ax]}, stride {stride[ax]}, "
-                f"padding {padding[ax]})"
-            )
-    parents = [x, w]
-    if bias is not None:
-        bias = _lift(bias)
-        if bias.shape != (w.shape[1],):
-            raise ShapeError(f"{op}: bias shape {bias.shape} != ({w.shape[1]},)")
-        parents.append(bias)
-
-    out = _corr_input_grad(x.data, w.data, stride, padding, out_spatial)
+    if transpose:
+        out = _corr_input_grad(x.data, w.data, stride, padding, out_spatial)
+    else:
+        out = _corr_forward(x.data, w.data, stride, padding)
     if bias is not None:
         out = out + bias.data.reshape((1, -1) + (1,) * nsp)
 
     def bw(g):
-        gx = _corr_forward(g, w.data, stride, padding)
-        gw = _corr_kernel_grad(g, x.data, stride, padding, kshape)
+        if transpose:
+            gx = _corr_forward(g, w.data, stride, padding)
+            gw = _corr_kernel_grad(g, x.data, stride, padding, kshape)
+        else:
+            gx = _corr_input_grad(g, w.data, stride, padding, x.shape[2:])
+            gw = _corr_kernel_grad(x.data, g, stride, padding, kshape)
         if bias is None:
             return gx, gw
         gb = g.sum(axis=(0,) + tuple(range(2, 2 + nsp)))
@@ -182,7 +154,7 @@ def _conv_transpose_nd(x, w, bias, stride, padding, nsp, op) -> Tensor:
 
 def conv2d(x, w, bias=None, stride=1, padding=0) -> Tensor:
     """Correlate x [B,Ci,H,W] with w [Co,Ci,kh,kw] -> [B,Co,H',W'] (zero padding)."""
-    return _conv_nd(x, w, bias, stride, padding, 2, "conv2d")
+    return _conv(x, w, bias, stride, padding, 2, "conv2d", False)
 
 
 def conv3d(x, w, bias=None, stride=1, padding=0) -> Tensor:
@@ -190,16 +162,16 @@ def conv3d(x, w, bias=None, stride=1, padding=0) -> Tensor:
 
     Stride and padding may differ per spatial axis (depth axis included).
     """
-    return _conv_nd(x, w, bias, stride, padding, 3, "conv3d")
+    return _conv(x, w, bias, stride, padding, 3, "conv3d", False)
 
 
 def conv_transpose2d(x, w, bias=None, stride=1, padding=0) -> Tensor:
     """Adjoint of :func:`conv2d` with the same kernel layout [Cin,Cout,kh,kw]
     seen from this op's point of view: x [B,Cin,H,W] -> [B,Cout,H',W'] with
     H' = (H-1)*stride - 2*padding + kh."""
-    return _conv_transpose_nd(x, w, bias, stride, padding, 2, "conv_transpose2d")
+    return _conv(x, w, bias, stride, padding, 2, "conv_transpose2d", True)
 
 
 def conv_transpose3d(x, w, bias=None, stride=1, padding=0) -> Tensor:
     """Adjoint of :func:`conv3d`; kernel layout [Cin,Cout,kd,kh,kw]."""
-    return _conv_transpose_nd(x, w, bias, stride, padding, 3, "conv_transpose3d")
+    return _conv(x, w, bias, stride, padding, 3, "conv_transpose3d", True)

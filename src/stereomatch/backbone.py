@@ -23,7 +23,6 @@ class BackboneConfig:
     stem_channels: int = 16
     channels: tuple[int, int, int, int] = (32, 48, 64, 96)
     blocks_per_stage: int = 1
-    leaky_slope: float = 0.2
 
     def validate(self) -> "BackboneConfig":
         if self.stem_channels < 1:
@@ -38,8 +37,6 @@ class BackboneConfig:
             raise ConfigError(f"backbone.channels must all be >= 1, got {self.channels}")
         if self.blocks_per_stage < 1:
             raise ConfigError(f"backbone.blocks_per_stage must be >= 1, got {self.blocks_per_stage}")
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ConfigError(f"backbone.leaky_slope must be in (0,1), got {self.leaky_slope}")
         return self
 
 
@@ -57,9 +54,9 @@ class _Block(nn.Module):
     """conv3x3 + BatchNorm + leaky ReLU, with a residual add when the input
     and output shapes agree (stride 1, equal channels)."""
 
-    def __init__(self, in_ch, out_ch, rng, stride, slope):
+    def __init__(self, in_ch, out_ch, rng, stride):
         super().__init__()
-        self.body = nn.ConvBnLeaky2d(in_ch, out_ch, 3, rng, stride=stride, slope=slope)
+        self.body = nn.ConvBnLeaky(in_ch, out_ch, (3, 3), rng, stride=stride)
         self.residual = stride == 1 and in_ch == out_ch
 
     def forward(self, x):
@@ -75,14 +72,13 @@ class Backbone(nn.Module):
         super().__init__()
         cfg.validate()
         self.cfg = cfg
-        slope = cfg.leaky_slope
-        self.stem = nn.ConvBnLeaky2d(3, cfg.stem_channels, 3, rng, stride=2, slope=slope)
+        self.stem = nn.ConvBnLeaky(3, cfg.stem_channels, (3, 3), rng, stride=2)
         stages = nn.ModuleList()
         in_ch = cfg.stem_channels
         for out_ch in cfg.channels:
-            blocks = [_Block(in_ch, out_ch, rng, 2, slope)]
+            blocks = [_Block(in_ch, out_ch, rng, 2)]
             for _ in range(cfg.blocks_per_stage - 1):
-                blocks.append(_Block(out_ch, out_ch, rng, 1, slope))
+                blocks.append(_Block(out_ch, out_ch, rng, 1))
             stages.append(nn.Sequential(*blocks))
             in_ch = out_ch
         self.stages = stages
@@ -114,14 +110,13 @@ class MergeUpsample(nn.Module):
     def __init__(self, cfg: BackboneConfig, rng: np.random.Generator):
         super().__init__()
         c4, c8, c16, c32 = cfg.channels
-        slope = cfg.leaky_slope
-        self.top = nn.ConvBnLeaky2d(c32, c32, 3, rng, slope=slope)
-        self.up16 = nn.ConvTranspose2d(c32, c16, 4, rng, stride=2, padding=1)
-        self.merge16 = nn.ConvBnLeaky2d(2 * c16, c16, 3, rng, slope=slope)
-        self.up8 = nn.ConvTranspose2d(c16, c8, 4, rng, stride=2, padding=1)
-        self.merge8 = nn.ConvBnLeaky2d(2 * c8, c8, 3, rng, slope=slope)
-        self.up4 = nn.ConvTranspose2d(c8, c4, 4, rng, stride=2, padding=1)
-        self.merge4 = nn.ConvBnLeaky2d(2 * c4, c4, 3, rng, slope=slope)
+        self.top = nn.ConvBnLeaky(c32, c32, (3, 3), rng)
+        self.up16 = nn.Conv(c32, c16, (4, 4), rng, stride=2, padding=1, transpose=True)
+        self.merge16 = nn.ConvBnLeaky(2 * c16, c16, (3, 3), rng)
+        self.up8 = nn.Conv(c16, c8, (4, 4), rng, stride=2, padding=1, transpose=True)
+        self.merge8 = nn.ConvBnLeaky(2 * c8, c8, (3, 3), rng)
+        self.up4 = nn.Conv(c8, c4, (4, 4), rng, stride=2, padding=1, transpose=True)
+        self.merge4 = nn.ConvBnLeaky(2 * c4, c4, (3, 3), rng)
 
     def forward(self, pyr: FeaturePyramid) -> FeaturePyramid:
         f32 = self.top(pyr.f32)

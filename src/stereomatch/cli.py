@@ -19,7 +19,6 @@ import traceback
 import numpy as np
 
 from . import autodiff as ad
-from . import nn
 from .ablation import AXES, ablate
 from .aggregation import ContextGeometryFusion, _DownsampleBlock, _UpsampleBlock
 from .autodiff import Tensor, grad_check
@@ -111,17 +110,12 @@ def gradcheck_suite():
                                  training=training)
         return _probed(build)
 
-    def bn_gamma_fn(t):
-        mean = np.zeros(3)
-        var = np.ones(3)
-        out = ad.batch_norm(Tensor(bn_x), t, Tensor(bn_beta), mean, var, training=True)
-        probe = np.random.default_rng(1234).standard_normal(out.shape)
-        return ad.tsum(ad.mul(out, Tensor(probe)))
-
     checks += [
         ("batch_norm_train", lambda: grad_check(bn_fn(True), bn_x)),
         ("batch_norm_eval", lambda: grad_check(bn_fn(False), bn_x)),
-        ("batch_norm_gamma", lambda: grad_check(bn_gamma_fn, bn_gamma)),
+        ("batch_norm_gamma", lambda: grad_check(_probed(
+            lambda t: ad.batch_norm(Tensor(bn_x), t, Tensor(bn_beta), np.zeros(3),
+                                    np.ones(3), training=True)), bn_gamma)),
     ]
 
     cx = rng.standard_normal((1, 2, 6, 7))
@@ -180,17 +174,10 @@ def gradcheck_suite():
     pyr_maps = [wrng.standard_normal((1, c, 64 // s, 64 // s))
                 for c, s in zip(tiny.channels, (4, 8, 16, 32))]
 
-    def backbone_fn(t):
-        out = backbone(t).f4
-        probe = np.random.default_rng(1234).standard_normal(out.shape)
-        return ad.tsum(ad.mul(out, Tensor(probe)))
-
-    def merge_fn(t):
+    def merge_f4(t):
         pyr = FeaturePyramid(Tensor(pyr_maps[0]), Tensor(pyr_maps[1]),
                              Tensor(pyr_maps[2]), t)
-        out = merge(pyr).f4
-        probe = np.random.default_rng(1234).standard_normal(out.shape)
-        return ad.tsum(ad.mul(out, Tensor(probe)))
+        return merge(pyr).f4
 
     mcfg = MatchingConfig(max_disparity=16, corr_channels=4)
     fl = wrng.standard_normal((1, 4, 6, 8))
@@ -206,16 +193,14 @@ def gradcheck_suite():
             return build_correlation(left, right, mcfg)
         return _probed(build)
 
-    def afv_fn(t):
-        v = afv(lift(build_correlation(t, Tensor(fr), mcfg)), t)
-        probe = np.random.default_rng(1234).standard_normal(v.shape)
-        return ad.tsum(ad.mul(v, Tensor(probe)))
+    def afv_volume(t):
+        return afv(lift(build_correlation(t, Tensor(fr), mcfg)), t)
 
     cgf = ContextGeometryFusion(2, 3, 3, np.random.default_rng(4))
     cgf_g = wrng.standard_normal((1, 2, 2, 4, 4))
     cgf_ctx = wrng.standard_normal((1, 3, 4, 4))
-    down = _DownsampleBlock(2, 4, np.random.default_rng(5), 0.2)
-    up = _UpsampleBlock(4, 2, np.random.default_rng(6), 0.2)
+    down = _DownsampleBlock(2, 4, np.random.default_rng(5))
+    up = _UpsampleBlock(4, 2, np.random.default_rng(6))
     up_in = wrng.standard_normal((1, 4, 2, 2, 2))
     up_skip = wrng.standard_normal((1, 2, 4, 4, 4))
     sup = SuperpixelUpsample(2, np.random.default_rng(8))
@@ -228,12 +213,15 @@ def gradcheck_suite():
     coarse = wrng.uniform(0.5, 2.0, (1, 1, 2, 2))
 
     checks += [
-        ("backbone_stage", lambda: grad_check(backbone_fn, image, max_coords=48, seed=0)),
-        ("merge_stage", lambda: grad_check(merge_fn, pyr_maps[3], max_coords=48, seed=5)),
+        ("backbone_stage", lambda: grad_check(
+            _probed(lambda t: backbone(t).f4), image, max_coords=48, seed=0)),
+        ("merge_stage", lambda: grad_check(
+            _probed(merge_f4), pyr_maps[3], max_coords=48, seed=5)),
         ("correlation_left", lambda: grad_check(corr_fn(False), fl, max_coords=64, seed=1)),
         ("correlation_right", lambda: grad_check(corr_fn(True), fr, max_coords=64, seed=2)),
         ("correlation_lift", lambda: grad_check(_probed(lift), vol)),
-        ("attention_volume", lambda: grad_check(afv_fn, fl, max_coords=64, seed=3)),
+        ("attention_volume", lambda: grad_check(
+            _probed(afv_volume), fl, max_coords=64, seed=3)),
         ("cgf_geometry", lambda: grad_check(_probed(
             lambda t: cgf(t, Tensor(cgf_ctx))), cgf_g)),
         ("cgf_context", lambda: grad_check(_probed(
@@ -273,9 +261,21 @@ def _write_manifest(out_dir: str, manifest: dict) -> None:
         f.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
+def _environment() -> dict:
+    """The build and settings that byte-identical reruns depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "threads": {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},
+        "dtype": str(Tensor(0.0).data.dtype),
+    }
+
+
 def _manifest_base(command: str, rc: RunConfig, out_dir: str) -> dict:
     return {
         "command": command,
+        "environment": _environment(),
         "seed": rc.model.seed,
         "out_dir": out_dir,
         "config": run_config_to_text(rc),

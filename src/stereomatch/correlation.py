@@ -92,9 +92,9 @@ class CorrelationLift(nn.Module):
     """Grow the 1-channel correlation volume to `corr_channels` channels with
     a per-disparity-slice 3x3 conv (kernel 1x3x3) + BatchNorm + leaky ReLU."""
 
-    def __init__(self, cfg: MatchingConfig, rng: np.random.Generator, slope: float = 0.2):
+    def __init__(self, cfg: MatchingConfig, rng: np.random.Generator):
         super().__init__()
-        self.block = nn.ConvBnLeaky3d(1, cfg.corr_channels, (1, 3, 3), rng, slope=slope)
+        self.block = nn.ConvBnLeaky(1, cfg.corr_channels, (1, 3, 3), rng)
 
     def forward(self, volume: Tensor) -> Tensor:
         if volume.shape[1] != 1:
@@ -112,7 +112,7 @@ class AttentionFeatureVolume(nn.Module):
 
     def __init__(self, feature_channels: int, cfg: MatchingConfig, rng: np.random.Generator):
         super().__init__()
-        self.project = nn.Conv2d(feature_channels, cfg.corr_channels, 1, rng, bias=False)
+        self.project = nn.Conv(feature_channels, cfg.corr_channels, (1, 1), rng, bias=False)
 
     def forward(self, a_corr: Tensor, f_l: Tensor) -> Tensor:
         batch, channels, _, height, width = a_corr.shape

@@ -141,110 +141,57 @@ class ModuleList(Module):
         raise ShapeError("ModuleList is a container; call its entries")
 
 
-def _pair(v) -> tuple[int, int]:
-    return (v, v) if isinstance(v, int) else tuple(v)
+# negative slope of every leaky ReLU in the model
+LEAKY_SLOPE = 0.2
 
 
-def _triple(v) -> tuple[int, int, int]:
-    return (v, v, v) if isinstance(v, int) else tuple(v)
+class Conv(Module):
+    """2-D or 3-D convolution, or its transpose; the length of `kernel`
+    picks the dimension.  Padding defaults to (k - 1) // 2 per axis, which
+    keeps the extent of a stride-1 conv.  The op is looked up on the
+    autodiff package at each call, so a wrapper installed there after the
+    layer was built (the benchmark's tracer, a test's spy) is the one used."""
 
-
-class Conv2d(Module):
-    def __init__(self, in_ch, out_ch, kernel, rng, stride=1, padding=None, bias=True):
+    def __init__(self, in_ch, out_ch, kernel, rng, stride=1, padding=None, bias=True,
+                 transpose=False):
         super().__init__()
-        kernel = _pair(kernel)
-        self.stride = _pair(stride)
-        self.padding = tuple((k - 1) // 2 for k in kernel) if padding is None else _pair(padding)
-        fan_in = in_ch * kernel[0] * kernel[1]
-        self.weight = Parameter(uniform_fan_in(rng, (out_ch, in_ch) + kernel, fan_in))
+        kernel = tuple(kernel)
+        self.op = f"conv_transpose{len(kernel)}d" if transpose else f"conv{len(kernel)}d"
+        self.stride = stride
+        self.padding = tuple((k - 1) // 2 for k in kernel) if padding is None else padding
+        fan_in = in_ch * math.prod(kernel)
+        channels = (in_ch, out_ch) if transpose else (out_ch, in_ch)
+        self.weight = Parameter(uniform_fan_in(rng, channels + kernel, fan_in))
         self.bias = Parameter(uniform_fan_in(rng, (out_ch,), fan_in)) if bias else None
 
     def forward(self, x):
-        return ad.conv2d(x, self.weight, self.bias, self.stride, self.padding)
-
-
-class Conv3d(Module):
-    def __init__(self, in_ch, out_ch, kernel, rng, stride=1, padding=None, bias=True):
-        super().__init__()
-        kernel = _triple(kernel)
-        self.stride = _triple(stride)
-        self.padding = tuple((k - 1) // 2 for k in kernel) if padding is None else _triple(padding)
-        fan_in = in_ch * kernel[0] * kernel[1] * kernel[2]
-        self.weight = Parameter(uniform_fan_in(rng, (out_ch, in_ch) + kernel, fan_in))
-        self.bias = Parameter(uniform_fan_in(rng, (out_ch,), fan_in)) if bias else None
-
-    def forward(self, x):
-        return ad.conv3d(x, self.weight, self.bias, self.stride, self.padding)
-
-
-class ConvTranspose2d(Module):
-    def __init__(self, in_ch, out_ch, kernel, rng, stride=1, padding=0, bias=True):
-        super().__init__()
-        kernel = _pair(kernel)
-        self.stride = _pair(stride)
-        self.padding = _pair(padding)
-        fan_in = in_ch * kernel[0] * kernel[1]
-        self.weight = Parameter(uniform_fan_in(rng, (in_ch, out_ch) + kernel, fan_in))
-        self.bias = Parameter(uniform_fan_in(rng, (out_ch,), fan_in)) if bias else None
-
-    def forward(self, x):
-        return ad.conv_transpose2d(x, self.weight, self.bias, self.stride, self.padding)
-
-
-class ConvTranspose3d(Module):
-    def __init__(self, in_ch, out_ch, kernel, rng, stride=1, padding=0, bias=True):
-        super().__init__()
-        kernel = _triple(kernel)
-        self.stride = _triple(stride)
-        self.padding = _triple(padding)
-        fan_in = in_ch * kernel[0] * kernel[1] * kernel[2]
-        self.weight = Parameter(uniform_fan_in(rng, (in_ch, out_ch) + kernel, fan_in))
-        self.bias = Parameter(uniform_fan_in(rng, (out_ch,), fan_in)) if bias else None
-
-    def forward(self, x):
-        return ad.conv_transpose3d(x, self.weight, self.bias, self.stride, self.padding)
+        return getattr(ad, self.op)(x, self.weight, self.bias, self.stride, self.padding)
 
 
 class BatchNorm(Module):
     """Batch normalization over every axis except the channel axis; works for
     both 4-D and 5-D activations."""
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, channels: int):
         super().__init__()
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Parameter(np.ones(channels))
         self.beta = Parameter(np.zeros(channels))
         self.register_buffer("running_mean", np.zeros(channels))
         self.register_buffer("running_var", np.ones(channels))
 
     def forward(self, x):
-        return ad.batch_norm(
-            x, self.gamma, self.beta, self.running_mean, self.running_var,
-            training=self.training, momentum=self.momentum, eps=self.eps,
-        )
+        return ad.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
+                             training=self.training)
 
 
-class ConvBnLeaky2d(Module):
-    """3x3-style conv -> BatchNorm -> leaky ReLU block (conv runs bias-free
-    since the norm would cancel a bias anyway)."""
+class ConvBnLeaky(Module):
+    """conv -> BatchNorm -> leaky ReLU block (conv runs bias-free since the
+    norm would cancel a bias anyway)."""
 
-    def __init__(self, in_ch, out_ch, kernel, rng, stride=1, padding=None, slope=0.2):
+    def __init__(self, in_ch, out_ch, kernel, rng, stride=1):
         super().__init__()
-        self.conv = Conv2d(in_ch, out_ch, kernel, rng, stride, padding, bias=False)
+        self.conv = Conv(in_ch, out_ch, kernel, rng, stride, bias=False)
         self.bn = BatchNorm(out_ch)
-        self.slope = slope
 
     def forward(self, x):
-        return ad.leaky_relu(self.bn(self.conv(x)), self.slope)
-
-
-class ConvBnLeaky3d(Module):
-    def __init__(self, in_ch, out_ch, kernel, rng, stride=1, padding=None, slope=0.2):
-        super().__init__()
-        self.conv = Conv3d(in_ch, out_ch, kernel, rng, stride, padding, bias=False)
-        self.bn = BatchNorm(out_ch)
-        self.slope = slope
-
-    def forward(self, x):
-        return ad.leaky_relu(self.bn(self.conv(x)), self.slope)
+        return ad.leaky_relu(self.bn(self.conv(x)), LEAKY_SLOPE)

@@ -129,12 +129,10 @@ class SuperpixelUpsample(nn.Module):
 
     SCALE = 4
 
-    def __init__(self, ctx_channels: int, rng: np.random.Generator,
-                 hidden: int = 32, slope: float = 0.2):
+    def __init__(self, ctx_channels: int, rng: np.random.Generator, hidden: int = 32):
         super().__init__()
-        self.conv1 = nn.Conv2d(ctx_channels, hidden, 3, rng)
-        self.conv2 = nn.Conv2d(hidden, 9 * self.SCALE * self.SCALE, 3, rng)
-        self.slope = slope
+        self.conv1 = nn.Conv(ctx_channels, hidden, (3, 3), rng)
+        self.conv2 = nn.Conv(hidden, 9 * self.SCALE * self.SCALE, (3, 3), rng)
 
     def forward(self, d0: DisparityMap, ctx_f4: Tensor) -> DisparityMap:
         values = d0.values
@@ -146,7 +144,7 @@ class SuperpixelUpsample(nn.Module):
             )
         batch, _, h, w = values.shape
         cells = self.SCALE * self.SCALE
-        logits = self.conv2(ad.leaky_relu(self.conv1(ctx_f4), self.slope))
+        logits = self.conv2(ad.leaky_relu(self.conv1(ctx_f4), nn.LEAKY_SLOPE))
         weights = ad.softmax(ad.reshape(logits, (batch, 9, cells, h, w)), axis=1)
         neighbors = ad.reshape(unfold3x3(values), (batch, 9, 1, h, w))
         combined = ad.tsum(ad.mul(weights, neighbors), axis=1)  # [B,16,h,w]

@@ -85,7 +85,6 @@ def _schema(rc: RunConfig):
         ("backbone.stem_channels", int, m.backbone, "stem_channels"),
         ("backbone.channels", _parse_int_tuple, m.backbone, "channels"),
         ("backbone.blocks_per_stage", int, m.backbone, "blocks_per_stage"),
-        ("backbone.leaky_slope", float, m.backbone, "leaky_slope"),
         ("matching.max_disparity", int, m.matching, "max_disparity"),
         ("matching.corr_channels", int, m.matching, "corr_channels"),
         ("matching.epsilon", float, m.matching, "epsilon"),

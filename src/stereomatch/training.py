@@ -165,8 +165,10 @@ def save_checkpoint(model: StereoModel, path: str) -> None:
 def load_checkpoint(model: StereoModel, path: str) -> None:
     """Restore a checkpoint in place.  Every stored array must match the
     model's entry of the same name and shape, and vice versa, and nothing may
-    follow the last entry."""
+    follow the last entry.  The whole file is checked before any array is
+    copied, so a rejected checkpoint leaves the model as it was."""
     arrays = model.state_arrays()
+    loaded = {}
     with open(path, "rb") as f:
         if f.read(len(_CHECKPOINT_MAGIC)) != _CHECKPOINT_MAGIC:
             raise DataFormatError(f"{path}: not a checkpoint file")
@@ -174,7 +176,6 @@ def load_checkpoint(model: StereoModel, path: str) -> None:
             count = int(f.readline())
         except ValueError:
             raise DataFormatError(f"{path}: entry count is not an integer") from None
-        seen = []
         for _ in range(count):
             line = f.readline()
             try:  # ValueError also covers non-ASCII bytes and an empty header
@@ -184,19 +185,19 @@ def load_checkpoint(model: StereoModel, path: str) -> None:
                 raise DataFormatError(f"{path}: malformed entry header {line[:60]!r}") from None
             if name not in arrays:
                 raise DataFormatError(f"{path}: unknown entry {name!r}")
-            target = arrays[name]
-            if target.shape != shape:
+            if arrays[name].shape != shape:
                 raise DataFormatError(
-                    f"{path}: {name} has shape {shape}, model expects {target.shape}"
+                    f"{path}: {name} has shape {shape}, model expects {arrays[name].shape}"
                 )
             n = int(np.prod(shape, dtype=np.int64))
             raw = f.read(n * 8)
             if len(raw) != n * 8:
                 raise DataFormatError(f"{path}: truncated data for {name!r}")
-            target[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
-            seen.append(name)
+            loaded[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
         if f.read(1):
             raise DataFormatError(f"{path}: unexpected data after the last entry")
-    missing = [n for n in arrays if n not in seen]
+    missing = [n for n in arrays if n not in loaded]
     if missing:
         raise DataFormatError(f"{path}: checkpoint is missing entries {missing}")
+    for name, values in loaded.items():
+        arrays[name][...] = values

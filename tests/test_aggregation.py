@@ -72,7 +72,7 @@ def test_encoder_zero_params_zero_pyramid():
 
 
 def test_downsample_block_gradcheck():
-    block = _DownsampleBlock(2, 3, np.random.default_rng(6), 0.2)
+    block = _DownsampleBlock(2, 3, np.random.default_rng(6))
     x = np.random.default_rng(7).standard_normal((1, 2, 4, 4, 4))
     probe = np.random.default_rng(8).standard_normal((1, 3, 2, 2, 2))
 

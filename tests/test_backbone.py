@@ -61,8 +61,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         BackboneConfig(blocks_per_stage=0).validate()
     with pytest.raises(ConfigError):
-        BackboneConfig(leaky_slope=1.5).validate()
-    with pytest.raises(ConfigError):
         BackboneConfig(stem_channels=0).validate()
 
 

@@ -213,6 +213,22 @@ def test_eval_pred_equals_gt_is_all_zero(tmp_path, capsys):
     assert "d1=0.0000" in line
 
 
+def test_manifest_records_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    gt = np.random.default_rng(0).uniform(1.0, 20.0, (32, 64)).astype(np.float32)
+    path = tmp_path / "gt.pfm"
+    path.write_bytes(write_pfm(gt))
+    out = tmp_path / "out"
+    assert main(["eval", "--pred", str(path), "--gt", str(path), "--out", str(out)]) == 0
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert env["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == f"{blas['name']} {blas['version']}"
+    assert env["threads"]["OMP_NUM_THREADS"] == "1"
+    assert all(k.endswith("_NUM_THREADS") for k in env["threads"])
+    assert env["dtype"] == "float64"
+
+
 def test_eval_dataset_prints_per_sample_and_aggregate(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     data = tmp_path / "data"

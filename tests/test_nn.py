@@ -9,7 +9,7 @@ from stereomatch import nn
 
 def test_parameter_registration_and_count():
     rng = np.random.default_rng(0)
-    block = nn.ConvBnLeaky2d(3, 8, 3, rng)
+    block = nn.ConvBnLeaky(3, 8, (3, 3), rng)
     names = [n for n, _ in block.named_parameters()]
     assert names == ["conv.weight", "bn.gamma", "bn.beta"]
     assert block.param_count() == 8 * 3 * 3 * 3 + 8 + 8
@@ -18,8 +18,8 @@ def test_parameter_registration_and_count():
 
 
 def test_init_bounds_and_determinism():
-    w1 = nn.Conv2d(4, 6, 3, np.random.default_rng(7)).weight.data
-    w2 = nn.Conv2d(4, 6, 3, np.random.default_rng(7)).weight.data
+    w1 = nn.Conv(4, 6, (3, 3), np.random.default_rng(7)).weight.data
+    w2 = nn.Conv(4, 6, (3, 3), np.random.default_rng(7)).weight.data
     assert np.array_equal(w1, w2)
     bound = np.sqrt(1.0 / (4 * 9))
     assert np.abs(w1).max() <= bound
@@ -28,7 +28,7 @@ def test_init_bounds_and_determinism():
 
 def test_train_eval_recurses():
     rng = np.random.default_rng(0)
-    seq = nn.Sequential(nn.ConvBnLeaky2d(1, 2, 3, rng), nn.ConvBnLeaky2d(2, 2, 3, rng))
+    seq = nn.Sequential(nn.ConvBnLeaky(1, 2, (3, 3), rng), nn.ConvBnLeaky(2, 2, (3, 3), rng))
     assert seq.training
     seq.eval()
     assert not seq.training
@@ -41,7 +41,7 @@ def test_train_eval_recurses():
 
 def test_zero_grad():
     rng = np.random.default_rng(0)
-    conv = nn.Conv2d(1, 1, 3, rng)
+    conv = nn.Conv(1, 1, (3, 3), rng)
     x = ad.Tensor(np.ones((1, 1, 4, 4)))
     out = conv(x)
     ad.backward(ad.tsum(ad.mul(out, out)))
@@ -52,10 +52,10 @@ def test_zero_grad():
 
 def test_conv_layer_default_padding_preserves_extent():
     rng = np.random.default_rng(1)
-    conv = nn.Conv2d(2, 5, 3, rng)
+    conv = nn.Conv(2, 5, (3, 3), rng)
     out = conv(ad.Tensor(np.zeros((1, 2, 6, 8))))
     assert out.shape == (1, 5, 6, 8)
-    conv3 = nn.Conv3d(2, 4, (1, 5, 5), rng)
+    conv3 = nn.Conv(2, 4, (1, 5, 5), rng)
     out3 = conv3(ad.Tensor(np.zeros((1, 2, 4, 6, 8))))
     assert out3.shape == (1, 4, 4, 6, 8)
     assert conv3.padding == (0, 2, 2)
@@ -63,14 +63,14 @@ def test_conv_layer_default_padding_preserves_extent():
 
 def test_conv_transpose_layer_upsamples():
     rng = np.random.default_rng(2)
-    up = nn.ConvTranspose3d(4, 2, 4, rng, stride=2, padding=1)
+    up = nn.Conv(4, 2, (4, 4, 4), rng, stride=2, padding=1, transpose=True)
     out = up(ad.Tensor(np.zeros((1, 4, 2, 3, 4))))
     assert out.shape == (1, 2, 4, 6, 8)
 
 
 def test_bias_free_conv_has_no_bias_param():
     rng = np.random.default_rng(3)
-    conv = nn.Conv2d(2, 3, 1, rng, bias=False)
+    conv = nn.Conv(2, 3, (1, 1), rng, bias=False)
     assert conv.bias is None
     assert [n for n, _ in conv.named_parameters()] == ["weight"]
 
@@ -89,7 +89,7 @@ def test_batchnorm_layer_updates_buffers_in_train_only():
 
 def test_state_arrays_roundtrip_identity():
     rng = np.random.default_rng(5)
-    block = nn.ConvBnLeaky3d(2, 3, 3, rng)
+    block = nn.ConvBnLeaky(2, 3, (3, 3, 3), rng)
     state = block.state_arrays()
     assert set(state) == {
         "conv.weight", "bn.gamma", "bn.beta", "bn.running_mean", "bn.running_var",
@@ -101,9 +101,40 @@ def test_state_arrays_roundtrip_identity():
 
 def test_module_list():
     rng = np.random.default_rng(6)
-    ml = nn.ModuleList([nn.Conv2d(1, 1, 1, rng) for _ in range(3)])
+    ml = nn.ModuleList([nn.Conv(1, 1, (1, 1), rng) for _ in range(3)])
     assert len(ml) == 3
     assert sum(1 for _ in ml.named_parameters()) == 6
-    assert isinstance(ml[2], nn.Conv2d)
+    assert isinstance(ml[2], nn.Conv)
     with pytest.raises(Exception):
         ml(ad.Tensor(np.zeros((1, 1, 2, 2))))
+
+
+@pytest.mark.parametrize("op", ["conv2d", "conv3d", "conv_transpose2d", "conv_transpose3d"])
+def test_conv_layer_calls_public_op_at_call_time(monkeypatch, op):
+    # the layer is built before the op is replaced, so it must look the op
+    # up on the autodiff package when it runs, not hold a reference to it
+    nd = int(op[-2])
+    conv = nn.Conv(2, 3, (3,) * nd, np.random.default_rng(8),
+                   transpose=op.startswith("conv_transpose"))
+    calls = []
+    original = getattr(ad, op)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(f"stereomatch.autodiff.{op}", spy)
+    out = conv(ad.Tensor(np.zeros((1, 2) + (4,) * nd)))
+    assert len(calls) == 1
+    assert calls[0][1] is conv.weight and calls[0][2] is conv.bias
+    assert out.shape[1] == 3
+
+
+def test_conv_weight_layout_and_init_follow_the_direction():
+    forward = nn.Conv(2, 5, (1, 3, 3), np.random.default_rng(9))
+    transposed = nn.Conv(2, 5, (1, 3, 3), np.random.default_rng(9), transpose=True)
+    assert forward.weight.shape == (5, 2, 1, 3, 3)
+    assert transposed.weight.shape == (2, 5, 1, 3, 3)
+    # same fan-in and draw order (weight, then bias): identical values
+    assert np.array_equal(forward.weight.data.ravel(), transposed.weight.data.ravel())
+    assert np.array_equal(forward.bias.data, transposed.bias.data)

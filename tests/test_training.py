@@ -222,6 +222,17 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match="after the last entry"):
             load_checkpoint(tiny_model(), str(path))
 
+    def test_rejected_load_leaves_model_untouched(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model(seed=1), str(path))
+        path.write_bytes(path.read_bytes() + b"junk")
+        model = tiny_model(seed=2)
+        before = {name: a.tobytes() for name, a in model.state_arrays().items()}
+        with pytest.raises(DataFormatError, match="after the last entry"):
+            load_checkpoint(model, str(path))
+        after = {name: a.tobytes() for name, a in model.state_arrays().items()}
+        assert after == before
+
     def test_failed_save_leaves_existing_checkpoint(self, tmp_path, monkeypatch):
         model = tiny_model()
         path = tmp_path / "model.ckpt"
