@@ -2,11 +2,13 @@
 
 The forward pass is a strided cross-correlation built from
 ``sliding_window_view`` + ``tensordot``.  The input-gradient routine is the
-exact adjoint of the forward map (dilate the cotangent by the stride, embed it
-in a zero buffer, correlate with the channel-swapped spatially-flipped
-kernel), and the transposed convolution *is* that adjoint applied as a forward
-op.  Sharing one code path guarantees the inner-product identity
-``<conv(x), y> == <x, conv_transpose(y)>`` up to roundoff.
+exact adjoint of the forward map, computed per stride phase: one stride-1
+correlation of the cotangent with that phase's channel-swapped,
+spatially-flipped sub-kernel, written to every stride-th input position, so no
+multiply-add hits a structural zero.  The transposed convolution *is* that
+adjoint applied as a forward op.  Sharing one code path guarantees the
+inner-product identity ``<conv(x), y> == <x, conv_transpose(y)>`` up to
+roundoff.
 """
 
 from __future__ import annotations
@@ -69,28 +71,28 @@ def _corr_kernel_grad(x, g, stride, padding, kshape) -> np.ndarray:
 def _corr_input_grad(g, w, stride, padding, in_spatial) -> np.ndarray:
     """Adjoint of the correlation: scatter g [B,Co,*O] back to [B,Ci,*S].
 
-    Works by writing g into a zero buffer on a stride-spaced lattice offset by
-    K-1, then running a stride-1 correlation with the flipped kernel.  The
-    buffer covers the *padded* input; the padding is cropped away.
+    Polyphase: kernel taps r, r+s, r+2s, ... of an axis only reach padded
+    input positions r (mod s), so each stride phase r is one stride-1 full
+    correlation of g with its flipped, channel-swapped sub-kernel, written to
+    the positions r::s of the padded input.  The buffer also covers any tail
+    no tap reaches (left zero); the padding is cropped away.
     """
     nsp = len(in_spatial)
-    batch, cout = g.shape[:2]
-    kshape = w.shape[2:]
-    padded = [in_spatial[i] + 2 * padding[i] for i in range(nsp)]
-    buf = np.zeros(
-        (batch, cout) + tuple(padded[i] + kshape[i] - 1 for i in range(nsp))
-    )
-    place = (slice(None), slice(None)) + tuple(
-        slice(kshape[i] - 1, kshape[i] - 1 + (g.shape[2 + i] - 1) * stride[i] + 1, stride[i])
+    osp, kshape = g.shape[2:], w.shape[2:]
+    size = tuple(
+        max(stride[i] * (osp[i] - 1 - (-kshape[i] // stride[i])), padding[i] + in_spatial[i])
         for i in range(nsp)
     )
-    buf[place] = g
-    w_flip = np.flip(w, axis=tuple(range(2, 2 + nsp))).swapaxes(0, 1)
-    dxp = _corr_forward(buf, w_flip, (1,) * nsp, (0,) * nsp)
-    crop = (slice(None), slice(None)) + tuple(
-        slice(padding[i], padding[i] + in_spatial[i]) for i in range(nsp)
-    )
-    return np.ascontiguousarray(dxp[crop])
+    out = np.zeros(g.shape[:1] + w.shape[1:2] + size, dtype=np.result_type(g, w))
+    keep, spatial = (slice(None), slice(None)), tuple(range(2, 2 + nsp))
+    for phase in np.ndindex(*(min(s, k) for s, k in zip(stride, kshape))):
+        sub = w[keep + tuple(slice(r, None, s) for r, s in zip(phase, stride))]
+        w_sub = np.flip(sub, axis=spatial).swapaxes(0, 1)
+        dxp = _corr_forward(g, w_sub, (1,) * nsp, tuple(k - 1 for k in sub.shape[2:]))
+        at = tuple(slice(r, r + s * n, s) for r, s, n in zip(phase, stride, dxp.shape[2:]))
+        out[keep + at] = dxp
+    crop = keep + tuple(slice(padding[i], padding[i] + in_spatial[i]) for i in range(nsp))
+    return np.ascontiguousarray(out[crop])
 
 
 def _conv(x, w, bias, stride, padding, nsp, op, transpose) -> Tensor:

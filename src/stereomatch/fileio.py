@@ -93,6 +93,8 @@ def read_pfm(data: bytes) -> Tuple[np.ndarray, float]:
         raise DataFormatError(f"bad PFM scale {stok!r} at byte {sstart}") from None
     if scale == 0.0:
         raise DataFormatError(f"zero PFM scale at byte {sstart}")
+    if not np.isfinite(scale):
+        raise DataFormatError(f"non-finite PFM scale {stok!r} at byte {sstart}")
     pos += 1  # exactly one whitespace byte separates header from payload
     need = w * h * 4
     have = len(data) - pos

@@ -185,6 +185,8 @@ def load_checkpoint(model: StereoModel, path: str) -> None:
                 raise DataFormatError(f"{path}: malformed entry header {line[:60]!r}") from None
             if name not in arrays:
                 raise DataFormatError(f"{path}: unknown entry {name!r}")
+            if name in loaded:
+                raise DataFormatError(f"{path}: entry {name!r} appears twice")
             if arrays[name].shape != shape:
                 raise DataFormatError(
                     f"{path}: {name} has shape {shape}, model expects {arrays[name].shape}"

@@ -1,5 +1,7 @@
 """Convolution primitives against scalar-loop oracles, plus adjoint identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,9 @@ def test_conv_rejects_bad_shapes():
         ((1, 2, 4, 4), (2, 3, 3, 3), (1, 1), (1, 1)),
         ((1, 2, 3, 5), (2, 1, 4, 4), (2, 2), (1, 1)),
         ((2, 1, 3, 3), (1, 2, 2, 2), (2, 2), (0, 0)),
+        ((1, 2, 3, 4), (2, 3, 1, 1), (2, 2), (0, 0)),  # k < s: empty phases
+        ((1, 2, 3, 4), (2, 3, 2, 2), (3, 3), (0, 0)),
+        ((1, 2, 3, 4), (2, 3, 3, 3), (3, 2), (2, 1)),  # uneven stride and padding
     ],
 )
 def test_conv_transpose2d_matches_naive(shape, kshape, stride, padding):
@@ -102,6 +107,54 @@ def test_conv_transpose3d_matches_naive():
     want = conv_transpose3d_naive(x, w, b, (2, 2, 2), (1, 1, 1))
     assert got.shape == (1, 2, 4, 6, 6)
     assert np.allclose(got.data, want, atol=1e-12)
+
+
+def test_conv_transpose3d_k3_s2_matches_naive():
+    """The adjoint of the encoder's k=3, s=2, p=1 downsample: phases of 2 and
+    1 taps per axis."""
+    x = rng.standard_normal((1, 2, 3, 4, 4))
+    w = rng.standard_normal((2, 3, 3, 3, 3))
+    b = rng.standard_normal(3)
+    got = ad.conv_transpose3d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), 2, 1)
+    want = conv_transpose3d_naive(x, w, b, (2, 2, 2), (1, 1, 1))
+    assert got.shape == (1, 3, 5, 7, 7)
+    assert np.allclose(got.data, want, atol=1e-12)
+
+
+def test_conv2d_input_grad_leaves_unreached_input_zero():
+    """7x9 input, k=4, s=2: no window reaches the last row or column, so
+    their input gradient is exactly zero; the rest is the scattered
+    cotangent."""
+    x = ad.Tensor(rng.standard_normal((1, 2, 7, 9)), requires_grad=True)
+    w = rng.standard_normal((3, 2, 4, 4))
+    out = ad.conv2d(x, ad.Tensor(w), None, 2, 0)
+    g = rng.standard_normal(out.shape)
+    ad.backward(ad.tsum(ad.mul(out, ad.Tensor(g))))
+    want = np.zeros(x.shape)
+    want[:, :, :6, :8] = conv_transpose2d_naive(g, w, None, (2, 2), (0, 0))
+    assert np.allclose(x.grad, want, atol=1e-12)
+    assert not x.grad[:, :, 6:, :].any() and not x.grad[:, :, :, 8:].any()
+    lhs, rhs = float((out.data * g).sum()), float((x.data * x.grad).sum())
+    assert abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0) <= 1e-10
+
+
+def test_conv_transpose3d_allocates_no_dilated_buffer():
+    """Peak allocation of one k=4, s=2, p=1 transposed conv stays below a
+    quarter of the im2col of a stride-dilated input (the padded output extent
+    times K^3 taps per input channel)."""
+    cin, cout, k, spatial = 16, 8, 4, (8, 16, 32)
+    x = ad.Tensor(rng.standard_normal((1, cin) + spatial))
+    w = ad.Tensor(rng.standard_normal((cin, cout, k, k, k)))
+    padded_out = [(n - 1) * 2 + k for n in spatial]
+    dilated_im2col = cin * int(np.prod(padded_out)) * k**3 * x.data.itemsize
+    tracemalloc.start()
+    try:
+        out = ad.conv_transpose3d(x, w, stride=2, padding=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, cout, 16, 32, 64)
+    assert peak < dilated_im2col / 4
 
 
 def test_conv_transpose_doubles_extent_with_k4_s2_p1():
@@ -126,6 +179,10 @@ def test_conv_transpose_rejects_negative_extent():
         ((1, 3, 9, 5), (2, 3, 3, 3), (3, 1), (0, 1), 2),
         ((1, 2, 4, 6, 6), (3, 2, 4, 4, 4), (2, 2, 2), (1, 1, 1), 3),
         ((1, 2, 4, 5, 5), (2, 2, 1, 5, 5), (1, 1, 1), (0, 2, 2), 3),
+        ((1, 2, 7, 9), (3, 2, 1, 1), (2, 2), (0, 0), 2),  # k < s: empty phases
+        ((1, 2, 8, 11), (3, 2, 2, 2), (3, 3), (0, 0), 2),
+        ((1, 2, 5, 7, 9), (3, 2, 3, 3, 3), (2, 2, 2), (1, 1, 1), 3),
+        ((1, 2, 8, 9), (3, 2, 3, 3), (3, 2), (2, 1), 2),  # uneven stride and padding
     ],
 )
 def test_adjoint_identity(xs, ks, stride, padding, nd):
@@ -190,6 +247,18 @@ def test_conv3d_gradcheck():
         return ad.tsum(ad.mul(ad.conv3d(xt, t, b, 1, (0, 1, 1)), ad.Tensor(probe)))
 
     assert ad.grad_check(wrt_w, w.data.copy()) <= 1e-4
+
+
+def test_conv3d_stride2_gradcheck():
+    """The input gradient of the encoder's k=3, s=2 downsample."""
+    x = rng.standard_normal((1, 2, 5, 5, 5))
+    w = ad.Tensor(rng.standard_normal((3, 2, 3, 3, 3)) * 0.5)
+    probe = rng.standard_normal((1, 3, 3, 3, 3))
+
+    def wrt_x(t):
+        return ad.tsum(ad.mul(ad.conv3d(t, w, None, 2, 1), ad.Tensor(probe)))
+
+    assert ad.grad_check(wrt_x, x) <= 1e-4
 
 
 def test_conv_transpose3d_gradcheck():

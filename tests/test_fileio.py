@@ -69,6 +69,11 @@ class TestPfm:
         with pytest.raises(DataFormatError, match="zero"):
             read_pfm(b"Pf\n1 1\n0.0\n" + b"\x00" * 4)
 
+    @pytest.mark.parametrize("token", [b"nan", b"inf", b"-inf"])
+    def test_non_finite_scale_rejected(self, token):
+        with pytest.raises(DataFormatError, match="non-finite"):
+            read_pfm(b"Pf\n1 1\n" + token + b"\n" + b"\x00" * 4)
+
     def test_bad_dimensions_rejected(self):
         with pytest.raises(DataFormatError):
             read_pfm(b"Pf\nx 1\n-1.0\n")

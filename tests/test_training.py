@@ -222,6 +222,23 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match="after the last entry"):
             load_checkpoint(tiny_model(), str(path))
 
+    def test_repeated_entry_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        source = tiny_model(seed=1)
+        save_checkpoint(source, str(path))
+        magic, count, body = path.read_bytes().split(b"\n", 2)
+        name, bias = next((n, a) for n, a in source.state_arrays().items()
+                          if n.endswith("bias"))
+        values = (bias + 1.0).astype("<f8").tobytes()
+        second = f"{name} {bias.shape[0]}\n".encode("ascii") + values
+        count = str(int(count) + 1).encode("ascii")
+        path.write_bytes(b"\n".join([magic, count, body]) + second)
+        model = tiny_model(seed=2)
+        before = {n: a.tobytes() for n, a in model.state_arrays().items()}
+        with pytest.raises(DataFormatError, match=f"{name!r} appears twice"):
+            load_checkpoint(model, str(path))
+        assert {n: a.tobytes() for n, a in model.state_arrays().items()} == before
+
     def test_rejected_load_leaves_model_untouched(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(tiny_model(seed=1), str(path))
