@@ -18,7 +18,9 @@ from . import autodiff as ad
 from .errors import ConfigError
 from .metrics import MetricsReport, evaluate
 from .model import ModelConfig, StereoModel
-from .training import Adam, OptimConfig, fit, make_dataset, sample_loss, stack_samples
+from .training import (
+    Adam, OptimConfig, batches, fit, make_dataset, sample_loss, stack_samples,
+)
 
 AXES = ("afv", "cgf_position", "detach")
 
@@ -104,15 +106,16 @@ def _context_only_params(model: StereoModel) -> list:
     ]
 
 
-def verify_detach(base: ModelConfig, height: int, width: int, data_seed: int) -> dict:
+def verify_detach(base: ModelConfig, height: int, width: int, data_seed: int,
+                  mode: str = "slanted_planes", constant_disparity: float = 0.0) -> dict:
     """Gradient-flow evidence for the detach row.
 
     Builds the two rows with identical weights, checks their forwards agree
     bit-for-bit, then backpropagates the training loss through the detached
     model and splits parameters by exact zero-ness of their gradients.
     """
-    sample = make_dataset(data_seed, 1, height, width,
-                          base.matching.max_disparity, "slanted_planes")[0]
+    sample = make_dataset(data_seed, 1, height, width, base.matching.max_disparity,
+                          mode, constant_disparity)[0]
     attached = StereoModel(_with(base, detach=False))
     detached = StereoModel(_with(base, detach=True))
     attached.eval()
@@ -140,16 +143,19 @@ def verify_detach(base: ModelConfig, height: int, width: int, data_seed: int) ->
 def ablate(base: ModelConfig, axis: str, *, steps: int = 50, data_seed: int = 0,
            height: int = 64, width: int = 128, train_samples: int = 4,
            eval_samples: int = 2, optim: OptimConfig | None = None,
-           on_row=None) -> AblationReport:
-    """Train and evaluate every configuration along one axis."""
+           mode: str = "slanted_planes", constant_disparity: float = 0.0,
+           batch_size: int = 1, on_row=None) -> AblationReport:
+    """Train and evaluate every configuration along one axis, on synthetic
+    data of the given mode, in batches of batch_size samples."""
     rows = []
     for name, cfg in config_rows(base, axis):
         model = StereoModel(cfg)
         train = make_dataset(data_seed, train_samples, height, width,
-                             cfg.matching.max_disparity, "slanted_planes")
+                             cfg.matching.max_disparity, mode, constant_disparity)
         held = make_dataset(data_seed + 10_000, eval_samples, height, width,
-                            cfg.matching.max_disparity, "slanted_planes")
-        report = fit(model, Adam(model, optim or OptimConfig()), train, steps)
+                            cfg.matching.max_disparity, mode, constant_disparity)
+        report = fit(model, Adam(model, optim or OptimConfig()),
+                     batches(train, batch_size), steps)
         model.eval()
         batch = stack_samples(held)
         with ad.no_grad():
@@ -166,5 +172,5 @@ def ablate(base: ModelConfig, axis: str, *, steps: int = 50, data_seed: int = 0,
             on_row(row)
     checks = None
     if axis == "detach":
-        checks = verify_detach(base, height, width, data_seed)
+        checks = verify_detach(base, height, width, data_seed, mode, constant_disparity)
     return AblationReport(axis=axis, rows=rows, detach_checks=checks)

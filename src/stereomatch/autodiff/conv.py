@@ -1,20 +1,26 @@
 """Convolution primitives (2-D and 3-D) and their transposed counterparts.
 
-The forward pass is a strided cross-correlation built from
-``sliding_window_view`` + ``tensordot``.  The input-gradient routine is the
-exact adjoint of the forward map, computed per stride phase: one stride-1
-correlation of the cotangent with that phase's channel-swapped,
-spatially-flipped sub-kernel, written to every stride-th input position, so no
-multiply-add hits a structural zero.  The transposed convolution *is* that
-adjoint applied as a forward op.  Sharing one code path guarantees the
-inner-product identity ``<conv(x), y> == <x, conv_transpose(y)>`` up to
-roundoff.
+Everything runs on one stride-1 correlation lowered to GEMMs on views
+(kn2row / flat shift, no im2col): on the zero-padded grid flattened row-major,
+each kernel tap reads one contiguous run, so with the last axis's taps
+stacked once, each remaining tap is one GEMM accumulated on the output grid.
+A strided correlation is the sum over stride phases of stride-1 ones, each of
+the phase-subsampled padded input with that phase's sub-kernel; the kernel
+gradient is the same loop with the cotangent on the output grid.  The
+input-gradient routine is the exact adjoint of the forward map, also per
+stride phase: one stride-1 correlation of the cotangent with that phase's
+channel-swapped, spatially-flipped sub-kernel, written to every stride-th
+input position, so no multiply-add hits a structural zero.  The transposed
+convolution *is* that adjoint applied as a forward op.  Sharing one code path
+guarantees the inner-product identity ``<conv(x), y> == <x, conv_transpose(y)>``
+up to roundoff.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ShapeError
 from .tensor import Tensor, _lift, _node
@@ -26,6 +32,11 @@ __all__ = [
     "conv_transpose3d",
 ]
 
+# GEMM columns per block: every tap runs on one block before the next, so the
+# block's output and products stay in cache while they are summed.
+_BLOCK = 4096
+
+
 def _norm_tuple(value, n: int, name: str) -> tuple[int, ...]:
     if isinstance(value, int):
         value = (value,) * n
@@ -35,37 +46,107 @@ def _norm_tuple(value, n: int, name: str) -> tuple[int, ...]:
     return value
 
 
-def _windows(x, kshape, stride, padding) -> np.ndarray:
-    """Kernel-sized windows of the zero-padded x [B,C,*S], one per output
-    position: [B,C,*O,*K]."""
-    nsp = x.ndim - 2
-    if any(padding):
-        x = np.pad(x, [(0, 0), (0, 0)] + [(p, p) for p in padding])
-    for ax in range(nsp):
-        if x.shape[2 + ax] < kshape[ax]:
+def _lowering(x, kshape, stride, padding):
+    """Flat-shift lowering (kn2row) of a strided correlation of the
+    zero-padded x [B,C,*S] with a kernel of kshape: GEMMs on views, no im2col.
+
+    Taps r, r+s, r+2s, ... of an axis read only padded positions r (mod s), so
+    the correlation is a sum over stride phases r of stride-1 ones, each on
+    the phase grid (the padded x at r::s) with the sub-kernel of those taps;
+    stride 1 is the single phase.  All phases share one grid P = O + ⌈K/s⌉ − 1.
+    On it, flattened row-major, the tap (a, b, ..., c) of a stride-1
+    correlation reads the contiguous run from a·P1·P2 + b·P2 + c.  Stacking
+    the last axis's k taps once (k shifted copies of the grid) makes each
+    leading tap one view `stack[:, :, o:o + span]` of [B, C·k, span] whose
+    inner axis pairs with `w[:, :, a, b, :]`; its column n is the output at
+    position n of the output grid [O0, P1, ..., P_last], where [:, :O1, ...]
+    is valid.
+
+    Returns the output grid, the index of its valid part, the span, and a
+    generator of (kernel index of a phase's taps, [(leading tap, view)]) that
+    builds each phase's stack as it is reached.
+    """
+    osp = []
+    for ax, (n, k, s, p) in enumerate(zip(x.shape[2:], kshape, stride, padding)):
+        if n + 2 * p < k:
             raise ShapeError(
-                f"spatial axis {ax}: padded extent {x.shape[2 + ax]} is smaller "
-                f"than kernel extent {kshape[ax]}"
+                f"spatial axis {ax}: padded extent {n + 2 * p} is smaller "
+                f"than kernel extent {k}"
             )
-    win = sliding_window_view(x, kshape, axis=tuple(range(2, 2 + nsp)))
-    return win[(slice(None), slice(None)) + tuple(slice(None, None, s) for s in stride)]
+        osp.append((n + 2 * p - k) // s + 1)
+    grid = tuple(o + (k - 1) // s for o, k, s in zip(osp, kshape, stride))
+    size = int(np.prod(grid))
+    pitch = [int(q) for q in np.cumprod((1,) + grid[:0:-1])[::-1]]
+    span = 1 + sum((o - 1) * q for o, q in zip(osp, pitch))
+    keep = (slice(None), slice(None))
+    b, c = x.shape[:2]
+
+    def phases():
+        for phase in itertools.product(*(range(min(s, k)) for s, k in zip(stride, kshape))):
+            # the phase grid holds x[a::s] from position f on, zeros elsewhere
+            front, part, ksub = [], [], []
+            for m, r, s, p, k in zip(grid, phase, stride, padding, kshape):
+                f = min(m, max(0, -(-(p - r) // s)))
+                a = r + s * f - p
+                front.append(f)
+                part.append(slice(a, a + s * (m - f), s))
+                ksub.append((k - 1 - r) // s + 1)
+            part = x[keep + tuple(part)]
+            padded = np.zeros((b, c) + grid, x.dtype)
+            padded[keep + tuple(slice(f, f + n) for f, n in zip(front, part.shape[2:]))] = part
+            flat = padded.reshape(b, c, size)
+            k, length = ksub[-1], size - ksub[-1] + 1
+            stack = np.empty((b, c, k, length), x.dtype)
+            for t in range(k):
+                stack[:, :, t] = flat[:, :, t : t + length]
+            del padded, flat  # only the stack stays alive while the GEMMs run
+            stack = stack.reshape(b, c * k, length)
+            views = []
+            for lead in itertools.product(*(range(n) for n in ksub[:-1])):
+                o = sum(a * q for a, q in zip(lead, pitch))
+                views.append((lead, stack[:, :, o : o + span]))
+            yield keep + tuple(slice(r, None, s) for r, s in zip(phase, stride)), views
+
+    valid = keep + tuple(slice(o) for o in osp)
+    return (osp[0],) + grid[1:], valid, span, phases()
 
 
 def _corr_forward(x, w, stride, padding) -> np.ndarray:
     """Plain strided correlation of x [B,Ci,*S] with w [Co,Ci,*K] -> [B,Co,*O]."""
-    nsp = x.ndim - 2
-    win = _windows(x, w.shape[2:], stride, padding)
-    axes_x = [1] + list(range(2 + nsp, 2 + 2 * nsp))
-    axes_w = [1] + list(range(2, 2 + nsp))
-    out = np.tensordot(win, w, axes=(axes_x, axes_w))
-    return np.ascontiguousarray(np.moveaxis(out, -1, 1))
+    ogrid, valid, span, phases = _lowering(x, w.shape[2:], stride, padding)
+    acc = np.zeros(x.shape[:1] + w.shape[:1] + ogrid, np.result_type(x, w))
+    flat = acc.reshape(acc.shape[:2] + (-1,))[:, :, :span]
+    for taps, views in phases:
+        ws = w[taps]
+        gemms = [(ws[(slice(None), slice(None)) + lead].reshape(len(ws), -1), view)
+                 for lead, view in views]
+        for start in range(0, span, _BLOCK):
+            cols = slice(start, start + _BLOCK)
+            block = flat[:, :, cols]
+            for wt, view in gemms:
+                block += wt @ view[:, :, cols]
+    return np.ascontiguousarray(acc[valid])
 
 
 def _corr_kernel_grad(x, g, stride, padding, kshape) -> np.ndarray:
-    """Gradient of the correlation above with respect to the kernel."""
-    spatial = list(range(2, x.ndim))
-    win = _windows(x, kshape, stride, padding)
-    return np.tensordot(g, win, axes=([0] + spatial, [0] + spatial))
+    """Gradient of the correlation above with respect to the kernel: the same
+    loop with g embedded on the output grid."""
+    ogrid, valid, span, phases = _lowering(x, kshape, stride, padding)
+    gg = np.zeros(g.shape[:2] + ogrid, np.result_type(x, g))
+    gg[valid] = g
+    gflat = gg.reshape(gg.shape[:2] + (-1,))[:, :, :span]
+    gw = np.zeros(g.shape[1:2] + x.shape[1:2] + tuple(kshape), gg.dtype)
+    for taps, views in phases:
+        sub = gw[taps]
+        for start in range(0, span, _BLOCK):
+            cols = slice(start, start + _BLOCK)
+            block = gflat[:, :, cols]
+            for lead, view in views:
+                gemm = block @ view[:, :, cols].swapaxes(1, 2)
+                sub[(slice(None), slice(None)) + lead] += gemm.sum(axis=0).reshape(
+                    sub.shape[:2] + (-1,)
+                )
+    return gw
 
 
 def _corr_input_grad(g, w, stride, padding, in_spatial) -> np.ndarray:

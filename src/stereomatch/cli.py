@@ -45,6 +45,7 @@ from .runconfig import RunConfig, load_run_config, run_config_to_text
 from .training import (
     Adam,
     OptimConfig,
+    batches,
     fit,
     load_checkpoint,
     make_dataset,
@@ -354,11 +355,11 @@ def cmd_train(args) -> int:
     started = time.perf_counter()
     model = StereoModel(rc.model)
     optim = Adam(model, _optim_config(rc))
-    samples = make_dataset(t.data_seed, t.train_samples, t.height, t.width,
-                           rc.model.matching.max_disparity, t.mode,
-                           t.constant_disparity)
-    batches = [stack_samples(samples[i:i + t.batch_size])
-               for i in range(0, len(samples), t.batch_size)]
+    train_batches = batches(
+        make_dataset(t.data_seed, t.train_samples, t.height, t.width,
+                     rc.model.matching.max_disparity, t.mode, t.constant_disparity),
+        t.batch_size,
+    )
     held = make_dataset(t.data_seed + 10_000, t.eval_samples, t.height, t.width,
                         rc.model.matching.max_disparity, t.mode,
                         t.constant_disparity)
@@ -370,7 +371,7 @@ def cmd_train(args) -> int:
         log_lines.append(f"step={i + 1} lr={optim.current_lr():g} loss={value:.6f}")
 
     started = time.perf_counter()
-    report = fit(model, optim, batches, t.steps, on_step=on_step)
+    report = fit(model, optim, train_batches, t.steps, on_step=on_step)
     train_s = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -503,7 +504,8 @@ def cmd_ablate(args) -> int:
         rc.model, args.axis,
         steps=t.steps, data_seed=t.data_seed, height=t.height, width=t.width,
         train_samples=t.train_samples, eval_samples=t.eval_samples,
-        optim=_optim_config(rc),
+        optim=_optim_config(rc), mode=t.mode, constant_disparity=t.constant_disparity,
+        batch_size=t.batch_size,
         on_row=lambda row: print(f"finished row: {row.name}", file=sys.stderr),
     )
     elapsed = time.perf_counter() - started

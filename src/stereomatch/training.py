@@ -78,6 +78,13 @@ def stack_samples(samples: list[StereoSample]) -> StereoSample:
     )
 
 
+def batches(samples: list[StereoSample], batch_size: int) -> list[StereoSample]:
+    """Consecutive groups of batch_size samples (the last may be shorter),
+    each stacked along the batch axis."""
+    return [stack_samples(samples[i:i + batch_size])
+            for i in range(0, len(samples), batch_size)]
+
+
 def sample_loss(model: StereoModel, sample: StereoSample):
     d0, d1 = model(sample.left, sample.right)
     return total_loss(

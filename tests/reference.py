@@ -7,6 +7,8 @@ the package under test.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
@@ -64,6 +66,27 @@ def conv3d_naive(x, w, bias=None, stride=(1, 1, 1), padding=(0, 0, 0)):
                             acc += bias[co]
                         out[b, co, z, i, j] = acc
     return out
+
+
+def conv_kernel_grad_naive(x, g, kshape, stride, padding):
+    """Kernel gradient of a 2-D or 3-D correlation of x [B,Ci,*S] with a
+    kernel [Co,Ci,*kshape] whose output cotangent is g [B,Co,*O]:
+    gw[co, ci, *u] = sum over b and output positions o of
+    g[b, co, *o] * x_padded[b, ci, *(o * stride + u)]."""
+    batch, cin = x.shape[:2]
+    cout, osp = g.shape[1], g.shape[2:]
+    xp = np.pad(x, [(0, 0), (0, 0)] + [(p, p) for p in padding])
+    gw = np.zeros((cout, cin) + tuple(kshape))
+    for co in range(cout):
+        for ci in range(cin):
+            for u in itertools.product(*(range(k) for k in kshape)):
+                acc = 0.0
+                for b in range(batch):
+                    for o in itertools.product(*(range(n) for n in osp)):
+                        at = tuple(oi * si + ui for oi, si, ui in zip(o, stride, u))
+                        acc += g[(b, co) + o] * xp[(b, ci) + at]
+                gw[(co, ci) + u] = acc
+    return gw
 
 
 def conv_transpose2d_naive(x, w, bias=None, stride=(1, 1), padding=(0, 0)):

@@ -294,6 +294,33 @@ def test_ablate_detach_writes_table(tmp_path, capsys):
     assert manifest["results"]["detach_checks"]["forward_bit_identical"] is True
 
 
+def test_ablate_honours_train_mode_and_batch_size(tmp_path, capsys, monkeypatch):
+    """Every row and the detach check train on the configured synthetic mode,
+    in batches of train.batch_size."""
+    import stereomatch.ablation as ablation
+
+    modes, batch_sizes = [], []
+    make_dataset, fit = ablation.make_dataset, ablation.fit
+
+    def recording_make_dataset(*args, **kwargs):
+        samples = make_dataset(*args, **kwargs)
+        modes.append(args[5])
+        return samples
+
+    def recording_fit(model, optim, dataset, steps, **kwargs):
+        batch_sizes.extend(s.left.shape[0] for s in dataset)
+        return fit(model, optim, dataset, steps, **kwargs)
+
+    monkeypatch.setattr(ablation, "make_dataset", recording_make_dataset)
+    monkeypatch.setattr(ablation, "fit", recording_fit)
+    cfg = write_cfg(tmp_path, text=TINY_CFG.replace("train.steps = 3", "train.steps = 1")
+                    + "train.batch_size = 2\n")
+    assert main(["ablate", "--axis", "detach", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert modes == ["blobs"] * 5  # train and held-out per row, then the detach check
+    assert batch_sizes == [2, 2]
+
+
 def test_ablate_unknown_axis_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["ablate", "--axis", "nonsense"])

@@ -11,11 +11,17 @@ from stereomatch.errors import ShapeError
 from reference import (
     conv2d_naive,
     conv3d_naive,
+    conv_kernel_grad_naive,
     conv_transpose2d_naive,
     conv_transpose3d_naive,
 )
 
-rng = np.random.default_rng(20)
+
+@pytest.fixture
+def rng():
+    """A fresh generator per test and case, so adding or reordering cases
+    leaves the data of every other test unchanged."""
+    return np.random.default_rng(20)
 
 
 @pytest.mark.parametrize(
@@ -29,7 +35,7 @@ rng = np.random.default_rng(20)
         ((1, 1, 6, 6), (1, 1, 3, 3), (3, 2), (2, 1)),
     ],
 )
-def test_conv2d_matches_naive(shape, kshape, stride, padding):
+def test_conv2d_matches_naive(shape, kshape, stride, padding, rng):
     x = rng.standard_normal(shape)
     w = rng.standard_normal(kshape)
     b = rng.standard_normal(kshape[0])
@@ -56,7 +62,7 @@ def test_conv2d_output_shape_formula():
         ((1, 2, 4, 5, 5), (2, 2, 3, 3, 3), (1, 2, 2), (1, 1, 1)),
     ],
 )
-def test_conv3d_matches_naive(shape, kshape, stride, padding):
+def test_conv3d_matches_naive(shape, kshape, stride, padding, rng):
     x = rng.standard_normal(shape)
     w = rng.standard_normal(kshape)
     b = rng.standard_normal(kshape[0])
@@ -89,7 +95,7 @@ def test_conv_rejects_bad_shapes():
         ((1, 2, 3, 4), (2, 3, 3, 3), (3, 2), (2, 1)),  # uneven stride and padding
     ],
 )
-def test_conv_transpose2d_matches_naive(shape, kshape, stride, padding):
+def test_conv_transpose2d_matches_naive(shape, kshape, stride, padding, rng):
     x = rng.standard_normal(shape)
     w = rng.standard_normal(kshape)
     b = rng.standard_normal(kshape[1])
@@ -99,7 +105,7 @@ def test_conv_transpose2d_matches_naive(shape, kshape, stride, padding):
     assert np.allclose(got.data, want, atol=1e-12)
 
 
-def test_conv_transpose3d_matches_naive():
+def test_conv_transpose3d_matches_naive(rng):
     x = rng.standard_normal((1, 2, 2, 3, 3))
     w = rng.standard_normal((2, 2, 4, 4, 4))
     b = rng.standard_normal(2)
@@ -109,7 +115,7 @@ def test_conv_transpose3d_matches_naive():
     assert np.allclose(got.data, want, atol=1e-12)
 
 
-def test_conv_transpose3d_k3_s2_matches_naive():
+def test_conv_transpose3d_k3_s2_matches_naive(rng):
     """The adjoint of the encoder's k=3, s=2, p=1 downsample: phases of 2 and
     1 taps per axis."""
     x = rng.standard_normal((1, 2, 3, 4, 4))
@@ -121,7 +127,7 @@ def test_conv_transpose3d_k3_s2_matches_naive():
     assert np.allclose(got.data, want, atol=1e-12)
 
 
-def test_conv2d_input_grad_leaves_unreached_input_zero():
+def test_conv2d_input_grad_leaves_unreached_input_zero(rng):
     """7x9 input, k=4, s=2: no window reaches the last row or column, so
     their input gradient is exactly zero; the rest is the scattered
     cotangent."""
@@ -138,7 +144,7 @@ def test_conv2d_input_grad_leaves_unreached_input_zero():
     assert abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0) <= 1e-10
 
 
-def test_conv_transpose3d_allocates_no_dilated_buffer():
+def test_conv_transpose3d_allocates_no_dilated_buffer(rng):
     """Peak allocation of one k=4, s=2, p=1 transposed conv stays below a
     quarter of the im2col of a stride-dilated input (the padded output extent
     times K^3 taps per input channel)."""
@@ -155,6 +161,67 @@ def test_conv_transpose3d_allocates_no_dilated_buffer():
         tracemalloc.stop()
     assert out.shape == (1, cout, 16, 32, 64)
     assert peak < dilated_im2col / 4
+
+
+def test_conv3d_stride1_peak_is_a_few_copies_of_its_input(rng):
+    """Peak allocation of one stride-1 3x3x3 conv3d at a decoder-like shape
+    stays within (k + 2) copies of its padded input: the stack of the last
+    axis's k taps, the output grid and one GEMM product.  An im2col copy
+    would take k^3 copies."""
+    cin, cout, k, spatial = 8, 8, 3, (8, 32, 64)
+    x = ad.Tensor(rng.standard_normal((1, cin) + spatial))
+    w = ad.Tensor(rng.standard_normal((cout, cin, k, k, k)))
+    padded = cin * int(np.prod([n + 2 for n in spatial])) * x.data.itemsize
+    tracemalloc.start()
+    try:
+        out = ad.conv3d(x, w, stride=1, padding=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, cout) + spatial
+    assert peak < (k + 2) * padded
+
+
+@pytest.mark.parametrize(
+    "op,xs,ks,stride,padding",
+    [
+        ("conv2d", (1, 2, 5, 6), (3, 2, 3, 3), (1, 1), (1, 1)),
+        ("conv2d", (1, 2, 7, 7), (3, 2, 3, 3), (2, 2), (1, 1)),
+        ("conv2d", (1, 2, 8, 9), (2, 2, 3, 3), (3, 2), (2, 1)),  # uneven stride and padding
+        ("conv2d", (1, 2, 7, 9), (3, 2, 1, 1), (2, 2), (0, 0)),  # k < s: empty phases
+        ("conv2d", (2, 2, 6, 5), (3, 2, 3, 2), (1, 2), (1, 0)),  # batch 2
+        ("conv3d", (1, 2, 4, 5, 5), (2, 2, 3, 3, 3), (1, 1, 1), (1, 1, 1)),
+        ("conv3d", (1, 2, 5, 5, 5), (3, 2, 3, 3, 3), (2, 2, 2), (1, 1, 1)),
+        ("conv3d", (1, 2, 4, 8, 9), (2, 2, 1, 3, 3), (1, 3, 2), (0, 2, 1)),
+        ("conv3d", (1, 2, 3, 4, 5), (2, 2, 1, 1, 1), (2, 2, 2), (0, 0, 0)),
+        ("conv3d", (2, 2, 3, 4, 4), (2, 2, 3, 3, 3), (2, 2, 2), (1, 1, 1)),
+        ("conv_transpose2d", (1, 3, 3, 4), (3, 2, 3, 3), (1, 1), (1, 1)),
+        ("conv_transpose2d", (1, 3, 4, 4), (3, 2, 3, 3), (2, 2), (1, 1)),
+        ("conv_transpose2d", (1, 2, 3, 4), (2, 3, 3, 3), (3, 2), (2, 1)),
+        ("conv_transpose2d", (1, 2, 3, 4), (2, 3, 1, 1), (2, 2), (0, 0)),
+        ("conv_transpose2d", (2, 2, 3, 3), (2, 2, 4, 4), (2, 2), (1, 1)),
+        ("conv_transpose3d", (1, 2, 2, 3, 3), (2, 2, 3, 3, 3), (1, 1, 1), (1, 1, 1)),
+        ("conv_transpose3d", (1, 2, 3, 3, 3), (2, 3, 3, 3, 3), (2, 2, 2), (1, 1, 1)),
+        ("conv_transpose3d", (1, 2, 2, 3, 4), (2, 2, 1, 3, 3), (1, 3, 2), (0, 2, 1)),
+        ("conv_transpose3d", (1, 2, 2, 2, 3), (2, 2, 1, 1, 1), (2, 2, 2), (0, 0, 0)),
+        ("conv_transpose3d", (2, 2, 2, 2, 3), (2, 2, 4, 4, 4), (2, 2, 2), (1, 1, 1)),
+    ],
+)
+def test_kernel_grad_matches_naive(op, xs, ks, stride, padding, rng):
+    """w.grad of <op(x, w), g> against the scalar-loop kernel gradient.  A
+    transposed conv is the adjoint of a conv with the same kernel, so its
+    kernel gradient is that conv's with the roles of x and g swapped."""
+    x = rng.standard_normal(xs)
+    w = ad.Tensor(rng.standard_normal(ks), requires_grad=True)
+    out = getattr(ad, op)(ad.Tensor(x), w, None, stride, padding)
+    g = rng.standard_normal(out.shape)
+    ad.backward(ad.tsum(ad.mul(out, ad.Tensor(g))))
+    if op.startswith("conv_transpose"):
+        want = conv_kernel_grad_naive(g, x, ks[2:], stride, padding)
+    else:
+        want = conv_kernel_grad_naive(x, g, ks[2:], stride, padding)
+    assert w.grad.shape == want.shape
+    assert np.allclose(w.grad, want, rtol=0, atol=1e-12)
 
 
 def test_conv_transpose_doubles_extent_with_k4_s2_p1():
@@ -185,7 +252,7 @@ def test_conv_transpose_rejects_negative_extent():
         ((1, 2, 8, 9), (3, 2, 3, 3), (3, 2), (2, 1), 2),  # uneven stride and padding
     ],
 )
-def test_adjoint_identity(xs, ks, stride, padding, nd):
+def test_adjoint_identity(xs, ks, stride, padding, nd, rng):
     """<conv(x), y> == <x, conv_transpose(y)> for a shared kernel.
 
     Shapes are stride-compatible so the transpose lands exactly back on the
@@ -206,7 +273,7 @@ def test_adjoint_identity(xs, ks, stride, padding, nd):
     assert abs(lhs - rhs) / scale <= 1e-10
 
 
-def test_conv2d_gradcheck():
+def test_conv2d_gradcheck(rng):
     x = rng.standard_normal((1, 2, 5, 5))
     w = ad.Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.5, requires_grad=True)
     b = ad.Tensor(rng.standard_normal(3) * 0.1, requires_grad=True)
@@ -230,7 +297,7 @@ def test_conv2d_gradcheck():
     assert ad.grad_check(wrt_b, b.data.copy()) <= 1e-4
 
 
-def test_conv3d_gradcheck():
+def test_conv3d_gradcheck(rng):
     x = rng.standard_normal((1, 2, 3, 4, 4))
     w = ad.Tensor(rng.standard_normal((2, 2, 1, 3, 3)) * 0.5, requires_grad=True)
     b = ad.Tensor(rng.standard_normal(2) * 0.1, requires_grad=True)
@@ -249,7 +316,7 @@ def test_conv3d_gradcheck():
     assert ad.grad_check(wrt_w, w.data.copy()) <= 1e-4
 
 
-def test_conv3d_stride2_gradcheck():
+def test_conv3d_stride2_gradcheck(rng):
     """The input gradient of the encoder's k=3, s=2 downsample."""
     x = rng.standard_normal((1, 2, 5, 5, 5))
     w = ad.Tensor(rng.standard_normal((3, 2, 3, 3, 3)) * 0.5)
@@ -261,7 +328,7 @@ def test_conv3d_stride2_gradcheck():
     assert ad.grad_check(wrt_x, x) <= 1e-4
 
 
-def test_conv_transpose3d_gradcheck():
+def test_conv_transpose3d_gradcheck(rng):
     x = rng.standard_normal((1, 2, 2, 3, 3))
     w = ad.Tensor(rng.standard_normal((2, 1, 4, 4, 4)) * 0.5, requires_grad=True)
     b = ad.Tensor(rng.standard_normal(1) * 0.1, requires_grad=True)
@@ -287,7 +354,7 @@ def test_conv_transpose3d_gradcheck():
     assert ad.grad_check(wrt_b, b.data.copy()) <= 1e-4
 
 
-def test_gradcheck_subsampling_is_deterministic():
+def test_gradcheck_subsampling_is_deterministic(rng):
     x = rng.standard_normal((1, 1, 6, 6))
     w = ad.Tensor(rng.standard_normal((1, 1, 3, 3)), requires_grad=True)
 
