@@ -1,11 +1,13 @@
 """Ablation sweeps over the attention volume, fusion placement, and the
 context-gradient toggle.
 
-Every row of a sweep trains the same synthetic split with the same seeds, so
-rows differ only in architecture.  The detach axis additionally verifies the
-gradient-flow claim it encodes: stopping the context branch must zero the
-gradients of exactly the parameters that have no other route to the loss
-(the fusers' projection layers), while leaving forward values untouched.
+Every row of a sweep trains with the run's `TrainParams` on one shared
+`training.split`, exactly as `stereomatch train` does, and is scored with
+`training.heldout_metrics`, so rows differ only in architecture.  The detach
+axis additionally verifies the gradient-flow claim it encodes: stopping the
+context branch must zero the gradients of exactly the parameters that have no
+other route to the loss (the fusers' projection layers), while leaving forward
+values untouched.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError
-from .metrics import MetricsReport, evaluate
+from .metrics import MetricsReport
 from .model import ModelConfig, StereoModel
 from .training import (
-    Adam, OptimConfig, batches, fit, make_dataset, sample_loss, stack_samples,
+    Adam, TrainParams, fit, heldout_metrics, make_dataset, sample_loss, split,
 )
 
 AXES = ("afv", "cgf_position", "detach")
@@ -30,7 +32,7 @@ class AblationRow:
     name: str
     config: ModelConfig
     param_count: int
-    final_loss: float
+    final_loss: float | None  # None when the run trains zero steps
     metrics: MetricsReport
 
 
@@ -44,7 +46,8 @@ class AblationReport:
         width = max(len(r.name) for r in self.rows)
         out = [
             f"{r.name:<{width}}  params={r.param_count:<8d} "
-            f"loss={r.final_loss:.4f}  {r.metrics.to_line()}"
+            f"loss={'none' if r.final_loss is None else format(r.final_loss, '.4f')}"
+            f"  {r.metrics.to_line()}"
             for r in self.rows
         ]
         if self.detach_checks is not None:
@@ -106,16 +109,17 @@ def _context_only_params(model: StereoModel) -> list:
     ]
 
 
-def verify_detach(base: ModelConfig, height: int, width: int, data_seed: int,
-                  mode: str = "slanted_planes", constant_disparity: float = 0.0) -> dict:
+def verify_detach(base: ModelConfig, train: TrainParams) -> dict:
     """Gradient-flow evidence for the detach row.
 
     Builds the two rows with identical weights, checks their forwards agree
-    bit-for-bit, then backpropagates the training loss through the detached
-    model and splits parameters by exact zero-ness of their gradients.
+    bit-for-bit, then backpropagates the training loss of the run's first
+    training sample through the detached model and splits parameters by exact
+    zero-ness of their gradients.
     """
-    sample = make_dataset(data_seed, 1, height, width, base.matching.max_disparity,
-                          mode, constant_disparity)[0]
+    sample = make_dataset(train.data_seed, 1, train.height, train.width,
+                          base.matching.max_disparity, train.mode,
+                          train.constant_disparity)[0]
     attached = StereoModel(_with(base, detach=False))
     detached = StereoModel(_with(base, detach=True))
     attached.eval()
@@ -140,37 +144,24 @@ def verify_detach(base: ModelConfig, height: int, width: int, data_seed: int,
     }
 
 
-def ablate(base: ModelConfig, axis: str, *, steps: int = 50, data_seed: int = 0,
-           height: int = 64, width: int = 128, train_samples: int = 4,
-           eval_samples: int = 2, optim: OptimConfig | None = None,
-           mode: str = "slanted_planes", constant_disparity: float = 0.0,
-           batch_size: int = 1, on_row=None) -> AblationReport:
-    """Train and evaluate every configuration along one axis, on synthetic
-    data of the given mode, in batches of batch_size samples."""
+def ablate(base: ModelConfig, axis: str, train: TrainParams,
+           on_row=None) -> AblationReport:
+    """Train every configuration along one axis as `stereomatch train` would,
+    on one shared split, and score each on the held-out batch."""
+    train_batches, held = split(train, base.matching.max_disparity)
     rows = []
     for name, cfg in config_rows(base, axis):
         model = StereoModel(cfg)
-        train = make_dataset(data_seed, train_samples, height, width,
-                             cfg.matching.max_disparity, mode, constant_disparity)
-        held = make_dataset(data_seed + 10_000, eval_samples, height, width,
-                            cfg.matching.max_disparity, mode, constant_disparity)
-        report = fit(model, Adam(model, optim or OptimConfig()),
-                     batches(train, batch_size), steps)
-        model.eval()
-        batch = stack_samples(held)
-        with ad.no_grad():
-            _, d1 = model(batch.left, batch.right)
+        report = fit(model, Adam(model, train), train_batches, train.steps)
         row = AblationRow(
             name=name,
             config=cfg,
             param_count=model.param_count(),
-            final_loss=report.losses[-1],
-            metrics=evaluate(d1.values, batch.gt_disparity, batch.valid_mask),
+            final_loss=report.losses[-1] if report.losses else None,
+            metrics=heldout_metrics(model, held),
         )
         rows.append(row)
         if on_row is not None:
             on_row(row)
-    checks = None
-    if axis == "detach":
-        checks = verify_detach(base, height, width, data_seed, mode, constant_disparity)
+    checks = verify_detach(base, train) if axis == "detach" else None
     return AblationReport(axis=axis, rows=rows, detach_checks=checks)

@@ -42,16 +42,7 @@ from .regression import (
     unfold3x3,
 )
 from .runconfig import RunConfig, load_run_config, run_config_to_text
-from .training import (
-    Adam,
-    OptimConfig,
-    batches,
-    fit,
-    load_checkpoint,
-    make_dataset,
-    save_checkpoint,
-    stack_samples,
-)
+from .training import Adam, fit, heldout_metrics, load_checkpoint, save_checkpoint, split
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -299,10 +290,16 @@ def _build_model(rc: RunConfig, checkpoint: str | None) -> StereoModel:
     return model
 
 
-def _optim_config(rc: RunConfig) -> OptimConfig:
-    t = rc.train
-    return OptimConfig(lr=t.lr, decay_steps=tuple(t.lr_decay_steps),
-                       decay_factor=t.lr_decay_factor)
+def _load_gt(gt_path: str, mask_path: str | None, max_disparity: int):
+    """Ground-truth disparity (float64) and its validity mask: the PGM at
+    mask_path (255 = valid) if given, else the standard rule on the PFM."""
+    with open(gt_path, "rb") as f:
+        gt, _ = read_pfm(f.read())
+    gt = gt.astype(np.float64)
+    if mask_path:
+        with open(mask_path, "rb") as f:
+            return gt, read_pgm(f.read()) == 255
+    return gt, valid_mask_from_gt(gt, max_disparity)
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +330,7 @@ def cmd_infer(args) -> int:
     manifest["timings_s"] = {"build": build_s, "forward": forward_s}
     manifest["results"]["outputs"] = sorted(outputs)
     if args.gt:
-        with open(args.gt, "rb") as f:
-            gt, _ = read_pfm(f.read())
-        gt = gt.astype(np.float64)
-        if args.mask:
-            with open(args.mask, "rb") as f:
-                mask = read_pgm(f.read()) == 255
-        else:
-            mask = valid_mask_from_gt(gt, rc.model.matching.max_disparity)
+        gt, mask = _load_gt(args.gt, args.mask, rc.model.matching.max_disparity)
         report = evaluate(d1.values.data[0, 0], gt, mask)
         manifest["results"]["metrics"] = report.as_dict()
         print(report.to_line())
@@ -354,15 +344,8 @@ def cmd_train(args) -> int:
     t = rc.train
     started = time.perf_counter()
     model = StereoModel(rc.model)
-    optim = Adam(model, _optim_config(rc))
-    train_batches = batches(
-        make_dataset(t.data_seed, t.train_samples, t.height, t.width,
-                     rc.model.matching.max_disparity, t.mode, t.constant_disparity),
-        t.batch_size,
-    )
-    held = make_dataset(t.data_seed + 10_000, t.eval_samples, t.height, t.width,
-                        rc.model.matching.max_disparity, t.mode,
-                        t.constant_disparity)
+    optim = Adam(model, t)
+    train_batches, held = split(t, rc.model.matching.max_disparity)
     setup_s = time.perf_counter() - started
 
     log_lines = []
@@ -375,11 +358,7 @@ def cmd_train(args) -> int:
     train_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    model.eval()
-    batch = stack_samples(held)
-    with ad.no_grad():
-        _, d1 = model(batch.left, batch.right)
-    metrics = evaluate(d1.values, batch.gt_disparity, batch.valid_mask)
+    metrics = heldout_metrics(model, held)
     eval_s = time.perf_counter() - started
 
     os.makedirs(args.out, exist_ok=True)
@@ -410,14 +389,7 @@ def cmd_train(args) -> int:
 def _eval_files(args, rc: RunConfig, manifest: dict) -> int:
     with open(args.pred, "rb") as f:
         pred, _ = read_pfm(f.read())
-    with open(args.gt, "rb") as f:
-        gt, _ = read_pfm(f.read())
-    gt = gt.astype(np.float64)
-    if args.mask:
-        with open(args.mask, "rb") as f:
-            mask = read_pgm(f.read()) == 255
-    else:
-        mask = valid_mask_from_gt(gt, rc.model.matching.max_disparity)
+    gt, mask = _load_gt(args.gt, args.mask, rc.model.matching.max_disparity)
     report = evaluate(pred.astype(np.float64), gt, mask)
     print(report.to_line())
     manifest["results"] = {"aggregate": report.as_dict()}
@@ -498,14 +470,9 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ablate(args) -> int:
     rc = _resolve_config(args)
-    t = rc.train
     started = time.perf_counter()
     report = ablate(
-        rc.model, args.axis,
-        steps=t.steps, data_seed=t.data_seed, height=t.height, width=t.width,
-        train_samples=t.train_samples, eval_samples=t.eval_samples,
-        optim=_optim_config(rc), mode=t.mode, constant_disparity=t.constant_disparity,
-        batch_size=t.batch_size,
+        rc.model, args.axis, rc.train,
         on_row=lambda row: print(f"finished row: {row.name}", file=sys.stderr),
     )
     elapsed = time.perf_counter() - started

@@ -52,8 +52,9 @@ def evaluate(pred, gt, mask) -> MetricsReport:
     """EPE, D1 and >k px outlier rates over the masked pixels.
 
     D1 counts pixels whose error exceeds max(3 px, 5% of the true disparity);
-    all thresholds use strict inequality.  An empty mask yields a report with
-    valid_pixel_count 0 and NaN metrics.
+    all thresholds use strict inequality, and a NaN error, which compares
+    false with everything, counts as an outlier.  An empty mask yields a
+    report with valid_pixel_count 0 and NaN metrics.
     """
     pred = pred.data if isinstance(pred, Tensor) else np.asarray(pred, dtype=np.float64)
     gt = gt.data if isinstance(gt, Tensor) else np.asarray(gt, dtype=np.float64)
@@ -69,11 +70,15 @@ def evaluate(pred, gt, mask) -> MetricsReport:
     err = np.abs(pred[mask] - gt[mask])
     gt_valid = gt[mask]
     d1_threshold = np.maximum(3.0, 0.05 * gt_valid)
+
+    def outlier_percent(threshold):
+        return float(100.0 * (~(err <= threshold)).mean())
+
     return MetricsReport(
         epe_px=float(err.mean()),
-        d1_percent=float(100.0 * (err > d1_threshold).mean()),
-        gt1_percent=float(100.0 * (err > 1.0).mean()),
-        gt2_percent=float(100.0 * (err > 2.0).mean()),
-        gt3_percent=float(100.0 * (err > 3.0).mean()),
+        d1_percent=outlier_percent(d1_threshold),
+        gt1_percent=outlier_percent(1.0),
+        gt2_percent=outlier_percent(2.0),
+        gt3_percent=outlier_percent(3.0),
         valid_pixel_count=count,
     )

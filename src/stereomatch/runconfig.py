@@ -11,31 +11,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .model import ModelConfig
-
-
-@dataclass
-class TrainParams:
-    steps: int = 500
-    lr: float = 1e-3
-    lr_decay_steps: tuple = (300,)
-    lr_decay_factor: float = 0.5
-    batch_size: int = 1
-    data_seed: int = 0
-    height: int = 64
-    width: int = 128
-    mode: str = "slanted_planes"
-    constant_disparity: float = 0.0
-    train_samples: int = 24
-    eval_samples: int = 4
-
-    def validate(self) -> "TrainParams":
-        if self.steps < 0 or self.batch_size < 1:
-            raise ConfigError(
-                f"steps must be >= 0 and batch_size >= 1, got {self.steps}, {self.batch_size}"
-            )
-        if self.train_samples < 1 or self.eval_samples < 1:
-            raise ConfigError("train_samples and eval_samples must be >= 1")
-        return self
+from .training import TrainParams
 
 
 @dataclass

@@ -1,53 +1,85 @@
-"""Adam optimization, the training step, and checkpoint persistence."""
+"""The training recipe (`TrainParams`), Adam, the training step and loop, the
+synthetic train/held-out split, and checkpoint persistence.
+
+`TrainParams` is the one description of a training run: `stereomatch train`,
+every ablation row and the detach check all build their optimizer from it
+and their data with `split`, and score with `heldout_metrics`.
+"""
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataFormatError, ShapeError
+from .errors import ConfigError, DataFormatError, ShapeError
 from .fileio import atomic_write
 from .losses import total_loss, upsample_disparity
+from .metrics import MetricsReport, evaluate
 from .model import StereoModel
 from .synthetic import StereoSample, synth_stereo
 
 
 @dataclass
-class OptimConfig:
+class TrainParams:
+    steps: int = 500
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    # piecewise-constant decay: lr is multiplied by decay_factor once the
+    # piecewise-constant decay: lr is multiplied by lr_decay_factor once the
     # step count passes each boundary
-    decay_steps: tuple[int, ...] = (300,)
-    decay_factor: float = 0.5
+    lr_decay_steps: tuple = (300,)
+    lr_decay_factor: float = 0.5
+    batch_size: int = 1
+    data_seed: int = 0
+    height: int = 64
+    width: int = 128
+    mode: str = "slanted_planes"
+    constant_disparity: float = 0.0
+    train_samples: int = 24
+    eval_samples: int = 4
+
+    def validate(self) -> "TrainParams":
+        if self.steps < 0 or self.batch_size < 1:
+            raise ConfigError(
+                f"steps must be >= 0 and batch_size >= 1, got {self.steps}, {self.batch_size}"
+            )
+        if self.train_samples < 1 or self.eval_samples < 1:
+            raise ConfigError("train_samples and eval_samples must be >= 1")
+        for key in ("lr", "lr_decay_factor"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"train.{key} must be finite and >= 0, got {value!r}")
+        return self
+
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Adam(object):
-    """Adam with bias correction and a piecewise-constant lr schedule.
+    """Adam with bias correction and the piecewise-constant lr schedule of a
+    `TrainParams` (its defaults when none is given).
 
     Moment buffers are keyed by parameter name; parameters whose grad is
     None after a backward pass are skipped.
     """
 
-    def __init__(self, model: StereoModel, config: OptimConfig | None = None):
-        self.config = config or OptimConfig()
+    def __init__(self, model: StereoModel, train: TrainParams | None = None):
+        self.train = train or TrainParams()
         self.params = list(model.named_parameters())
         self.m = {name: np.zeros_like(p.data) for name, p in self.params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params}
         self.t = 0
 
     def current_lr(self) -> float:
-        c = self.config
-        decays = sum(1 for boundary in c.decay_steps if self.t > boundary)
-        return c.lr * c.decay_factor**decays
+        t = self.train
+        decays = sum(1 for boundary in t.lr_decay_steps if self.t > boundary)
+        return t.lr * t.lr_decay_factor**decays
 
     def step(self) -> None:
-        c = self.config
         self.t += 1
         lr = self.current_lr()
         for name, p in self.params:
@@ -56,15 +88,15 @@ class Adam(object):
             g = p.grad
             m = self.m[name]
             v = self.v[name]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
             if lr == 0.0:
                 continue  # null update must leave parameters bit-identical
-            mhat = m / (1.0 - c.beta1**self.t)
-            vhat = v / (1.0 - c.beta2**self.t)
-            p.data -= lr * mhat / (np.sqrt(vhat) + c.eps)
+            mhat = m / (1.0 - ADAM_BETA1**self.t)
+            vhat = v / (1.0 - ADAM_BETA2**self.t)
+            p.data -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def stack_samples(samples: list[StereoSample]) -> StereoSample:
@@ -150,6 +182,25 @@ def make_dataset(data_seed: int, count: int, height: int, width: int,
                      constant_disparity)
         for i in range(count)
     ]
+
+
+def split(train: TrainParams, max_disparity: int) -> tuple[list[StereoSample], StereoSample]:
+    """The run's training batches (samples from data_seed) and its held-out
+    batch (samples from data_seed + 10_000)."""
+    def samples(seed, count):
+        return make_dataset(seed, count, train.height, train.width, max_disparity,
+                            train.mode, train.constant_disparity)
+
+    return (batches(samples(train.data_seed, train.train_samples), train.batch_size),
+            stack_samples(samples(train.data_seed + 10_000, train.eval_samples)))
+
+
+def heldout_metrics(model: StereoModel, held: StereoSample) -> MetricsReport:
+    """Full-resolution metrics of an eval-mode, no-grad forward over a batch."""
+    model.eval()
+    with ad.no_grad():
+        _, d1 = model(held.left, held.right)
+    return evaluate(d1.values, held.gt_disparity, held.valid_mask)
 
 
 _CHECKPOINT_MAGIC = b"STCKPT1\n"

@@ -8,6 +8,7 @@ from stereomatch.backbone import BackboneConfig
 from stereomatch.correlation import MatchingConfig
 from stereomatch.errors import ConfigError
 from stereomatch.model import ModelConfig
+from stereomatch.training import TrainParams
 
 
 def tiny_base(**overrides):
@@ -61,7 +62,7 @@ def test_base_is_not_mutated():
 
 
 def test_verify_detach_reports_expected_split():
-    checks = verify_detach(tiny_base(), height=32, width=64, data_seed=5)
+    checks = verify_detach(tiny_base(), TrainParams(height=32, width=64, data_seed=5))
     assert checks["forward_bit_identical"]
     assert checks["zero_grads_match_context_only_params"]
     assert checks["zero_grad_params"] == checks["context_only_params"]
@@ -70,8 +71,8 @@ def test_verify_detach_reports_expected_split():
 
 
 def test_ablate_runs_every_row_and_reports():
-    report = ablate(tiny_base(), "detach", steps=2, height=32, width=64,
-                    train_samples=1, eval_samples=1)
+    report = ablate(tiny_base(), "detach", TrainParams(
+        steps=2, height=32, width=64, train_samples=1, eval_samples=1))
     assert [r.name for r in report.rows] == ["backprop_context", "detach_context"]
     # equal parameter budgets: the flag changes gradients, not the graph
     assert report.rows[0].param_count == report.rows[1].param_count
@@ -84,8 +85,8 @@ def test_ablate_runs_every_row_and_reports():
 
 
 def test_ablate_afv_axis_param_ordering():
-    report = ablate(tiny_base(), "afv", steps=1, height=32, width=64,
-                    train_samples=1, eval_samples=1)
+    report = ablate(tiny_base(), "afv", TrainParams(
+        steps=1, height=32, width=64, train_samples=1, eval_samples=1))
     counts = {r.name: r.param_count for r in report.rows}
     assert counts["baseline"] < counts["afv"]
     assert counts["baseline"] < counts["cgf"]

@@ -31,7 +31,7 @@ from stereomatch.metrics import evaluate
 from stereomatch.model import ModelConfig, StereoModel
 from stereomatch.regression import top2_regression, top2_softargmax
 from stereomatch.synthetic import synth_stereo
-from stereomatch.training import Adam, OptimConfig, fit, make_dataset, stack_samples
+from stereomatch.training import Adam, TrainParams, fit, make_dataset, stack_samples
 
 
 def small_config():
@@ -148,8 +148,8 @@ def test_toy_convergence():
         )
         assert cfg.afv_enabled and cfg.cgf.positions == ("decoder",)
         model = StereoModel(cfg)
-        optim = Adam(model, OptimConfig(lr=1e-3, decay_steps=(300,),
-                                        decay_factor=0.5))
+        optim = Adam(model, TrainParams(lr=1e-3, lr_decay_steps=(300,),
+                                        lr_decay_factor=0.5))
         train = make_dataset(1000 + seed, 24, 64, 128, 32, "slanted_planes")
         held = stack_samples(make_dataset(9000 + seed, 3, 64, 128, 32,
                                           "slanted_planes"))
@@ -197,7 +197,7 @@ def test_ablation_harness():
             assert d1.values.shape == (1, 1, 32, 64)
             total += 1
 
-    checks = verify_detach(base, 32, 64, data_seed=0)
+    checks = verify_detach(base, TrainParams(height=32, width=64, data_seed=0))
     assert checks["forward_bit_identical"]
     assert checks["zero_grads_match_context_only_params"]
     assert len(checks["context_only_params"]) > 0

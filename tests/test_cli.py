@@ -296,11 +296,13 @@ def test_ablate_detach_writes_table(tmp_path, capsys):
 
 def test_ablate_honours_train_mode_and_batch_size(tmp_path, capsys, monkeypatch):
     """Every row and the detach check train on the configured synthetic mode,
-    in batches of train.batch_size."""
+    in batches of train.batch_size, with an optimizer built from the run's
+    train parameters (so a non-default train.lr reaches every row)."""
     import stereomatch.ablation as ablation
+    import stereomatch.training as training
 
-    modes, batch_sizes = [], []
-    make_dataset, fit = ablation.make_dataset, ablation.fit
+    modes, batch_sizes, adam_params = [], [], []
+    make_dataset, fit, adam = training.make_dataset, ablation.fit, ablation.Adam
 
     def recording_make_dataset(*args, **kwargs):
         samples = make_dataset(*args, **kwargs)
@@ -311,14 +313,42 @@ def test_ablate_honours_train_mode_and_batch_size(tmp_path, capsys, monkeypatch)
         batch_sizes.extend(s.left.shape[0] for s in dataset)
         return fit(model, optim, dataset, steps, **kwargs)
 
+    def recording_adam(model, train=None):
+        adam_params.append(train)
+        return adam(model, train)
+
+    monkeypatch.setattr(training, "make_dataset", recording_make_dataset)
     monkeypatch.setattr(ablation, "make_dataset", recording_make_dataset)
     monkeypatch.setattr(ablation, "fit", recording_fit)
+    monkeypatch.setattr(ablation, "Adam", recording_adam)
     cfg = write_cfg(tmp_path, text=TINY_CFG.replace("train.steps = 3", "train.steps = 1")
-                    + "train.batch_size = 2\n")
+                    + "train.batch_size = 2\ntrain.lr = 0.0007\n")
     assert main(["ablate", "--axis", "detach", "--config", cfg,
                  "--out", str(tmp_path / "out")]) == 0
-    assert modes == ["blobs"] * 5  # train and held-out per row, then the detach check
+    assert modes == ["blobs"] * 3  # the shared train and held-out split, then the detach check
     assert batch_sizes == [2, 2]
+    assert len(adam_params) == 2
+    assert all(p is not None and p.lr == 0.0007 for p in adam_params)
+
+
+def test_ablate_zero_steps_reports_no_loss(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, text=TINY_CFG.replace("train.steps = 3", "train.steps = 0"))
+    out = tmp_path / "out"
+    assert main(["ablate", "--axis", "detach", "--config", cfg, "--out", str(out)]) == 0
+    table = (out / "table.txt").read_text().splitlines()
+    assert all("loss=none" in line for line in table[:2])
+    rows = json.loads((out / "manifest.json").read_text())["results"]["rows"]
+    assert [r["final_loss"] for r in rows] == [None, None]
+
+
+@pytest.mark.parametrize("key", ["lr", "lr_decay_factor"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])
+def test_train_rejects_non_finite_or_negative_lr(tmp_path, capsys, key, value):
+    cfg = write_cfg(tmp_path, text=TINY_CFG + f"train.{key} = {value}\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert f"train.{key}" in capsys.readouterr().err
+    assert not (out / "model.ckpt").exists()
 
 
 def test_ablate_unknown_axis_rejected(tmp_path, capsys):

@@ -51,6 +51,17 @@ def test_thresholds_are_strict():
     assert r2.gt2_percent == 0.0
 
 
+def test_nan_and_inf_errors_are_outliers():
+    gt = np.full((1, 1, 1, 4), 10.0)
+    for bad in (np.nan, np.inf):
+        r = evaluate(np.full(gt.shape, bad), gt, full_mask(gt.shape))
+        assert r.d1_percent == r.gt1_percent == r.gt2_percent == r.gt3_percent == 100.0
+    pred = gt + np.array([[[[np.nan, 0.5, 1.5, 4.0]]]])
+    r = evaluate(pred, gt, full_mask(gt.shape))
+    assert (r.gt1_percent, r.gt2_percent, r.gt3_percent, r.d1_percent) == (75.0, 50.0, 50.0, 50.0)
+    assert math.isnan(r.epe_px)
+
+
 def test_rates_are_nested():
     rng = np.random.default_rng(1)
     gt = rng.uniform(5, 60, (1, 1, 16, 16))

@@ -14,7 +14,7 @@ from stereomatch.model import ModelConfig, StereoModel
 from stereomatch.synthetic import StereoSample, synth_stereo
 from stereomatch.training import (
     Adam,
-    OptimConfig,
+    TrainParams,
     fit,
     load_checkpoint,
     make_dataset,
@@ -50,7 +50,7 @@ class _Scalar(nn.Module):
 class TestAdam:
     def test_matches_scalar_oracle_for_five_steps(self):
         holder = _Scalar(5.0)
-        optim = Adam(holder, OptimConfig(lr=0.1, decay_steps=()))
+        optim = Adam(holder, TrainParams(lr=0.1, lr_decay_steps=()))
         grads, history = [], []
         for _ in range(5):
             holder.zero_grad()
@@ -66,7 +66,7 @@ class TestAdam:
     def test_zero_lr_is_bitwise_noop(self):
         model = tiny_model()
         before = {k: v.copy() for k, v in model.state_arrays().items()}
-        optim = Adam(model, OptimConfig(lr=0.0))
+        optim = Adam(model, TrainParams(lr=0.0))
         s = tiny_sample()
         for _ in range(2):
             value, stepped = train_step(model, optim, s)
@@ -78,15 +78,15 @@ class TestAdam:
         assert any(np.any(m != 0) for m in optim.m.values())
 
     def test_piecewise_schedule(self):
-        optim = Adam(_Scalar(0.0), OptimConfig(lr=1e-3, decay_steps=(300, 400),
-                                               decay_factor=0.5))
+        optim = Adam(_Scalar(0.0), TrainParams(lr=1e-3, lr_decay_steps=(300, 400),
+                                               lr_decay_factor=0.5))
         for t, lr in [(1, 1e-3), (300, 1e-3), (301, 5e-4), (400, 5e-4), (401, 2.5e-4)]:
             optim.t = t
             assert optim.current_lr() == pytest.approx(lr, rel=0, abs=0)
 
     def test_none_grads_are_skipped(self):
         holder = _Scalar(1.0)
-        optim = Adam(holder, OptimConfig(lr=0.1))
+        optim = Adam(holder, TrainParams(lr=0.1))
         optim.step()  # no backward ran; grad is None
         assert holder.w.data[0] == 1.0
 
