@@ -22,13 +22,14 @@ from .backbone import FeaturePyramid
 from .errors import ConfigError, ShapeError
 
 _VALID_POSITIONS = ("encoder", "decoder")
+# In-plane extent of the CGF convs: CGI-Stereo fuses with 1x5x5 kernels.
+FUSION_KERNEL = 5
 
 
 @dataclass
 class CgfConfig:
     positions: tuple[str, ...] = ("decoder",)
     detach_context: bool = False
-    fusion_kernel: int = 5
 
     def validate(self) -> "CgfConfig":
         self.positions = tuple(self.positions)
@@ -39,10 +40,6 @@ class CgfConfig:
                 )
         if len(set(self.positions)) != len(self.positions):
             raise ConfigError(f"cgf.positions has duplicates: {self.positions}")
-        if self.fusion_kernel < 3 or self.fusion_kernel % 2 == 0:
-            raise ConfigError(
-                f"cgf.kernel must be an odd integer >= 3, got {self.fusion_kernel}"
-            )
         return self
 
 
@@ -138,7 +135,7 @@ class Encoder(nn.Module):
         self.fusers = None
         if "encoder" in cfg.positions:
             self.fusers = nn.ModuleList([
-                ContextGeometryFusion(out_ch, ctx_ch, cfg.fusion_kernel, rng)
+                ContextGeometryFusion(out_ch, ctx_ch, FUSION_KERNEL, rng)
                 for (_, out_ch), ctx_ch in zip(plan, ctx_channels)
             ])
 
@@ -173,9 +170,9 @@ class Decoder(nn.Module):
             # the encoder's fusers, so both placements cost equal parameters)
             c8, c16, c32 = ctx_channels
             self.fusers = nn.ModuleList([
-                ContextGeometryFusion(6 * c, c32, cfg.fusion_kernel, rng),
-                ContextGeometryFusion(4 * c, c16, cfg.fusion_kernel, rng),
-                ContextGeometryFusion(2 * c, c8, cfg.fusion_kernel, rng),
+                ContextGeometryFusion(6 * c, c32, FUSION_KERNEL, rng),
+                ContextGeometryFusion(4 * c, c16, FUSION_KERNEL, rng),
+                ContextGeometryFusion(2 * c, c8, FUSION_KERNEL, rng),
             ])
         self.up1 = _UpsampleBlock(6 * c, 4 * c, rng)
         self.up2 = _UpsampleBlock(4 * c, 2 * c, rng)

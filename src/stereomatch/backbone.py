@@ -22,7 +22,6 @@ from .errors import ConfigError, ShapeError
 class BackboneConfig:
     stem_channels: int = 16
     channels: tuple[int, int, int, int] = (32, 48, 64, 96)
-    blocks_per_stage: int = 1
 
     def validate(self) -> "BackboneConfig":
         if self.stem_channels < 1:
@@ -35,8 +34,6 @@ class BackboneConfig:
             )
         if any(c < 1 for c in self.channels):
             raise ConfigError(f"backbone.channels must all be >= 1, got {self.channels}")
-        if self.blocks_per_stage < 1:
-            raise ConfigError(f"backbone.blocks_per_stage must be >= 1, got {self.blocks_per_stage}")
         return self
 
 
@@ -51,21 +48,19 @@ class FeaturePyramid:
 
 
 class _Block(nn.Module):
-    """conv3x3 + BatchNorm + leaky ReLU, with a residual add when the input
-    and output shapes agree (stride 1, equal channels)."""
+    """conv3x3 stride 2 + BatchNorm + leaky ReLU, held as `body` so that
+    checkpoint entries keep their `stages.<i>.0.body.*` names."""
 
-    def __init__(self, in_ch, out_ch, rng, stride):
+    def __init__(self, in_ch, out_ch, rng):
         super().__init__()
-        self.body = nn.ConvBnLeaky(in_ch, out_ch, (3, 3), rng, stride=stride)
-        self.residual = stride == 1 and in_ch == out_ch
+        self.body = nn.ConvBnLeaky(in_ch, out_ch, (3, 3), rng, stride=2)
 
     def forward(self, x):
-        y = self.body(x)
-        return ad.add(x, y) if self.residual else y
+        return self.body(x)
 
 
 class Backbone(nn.Module):
-    """Stem (stride 2) plus four stages whose first block strides by 2,
+    """Stem (stride 2) plus four one-block stages that each stride by 2,
     yielding features at 1/4, 1/8, 1/16, 1/32 resolution."""
 
     def __init__(self, cfg: BackboneConfig, rng: np.random.Generator):
@@ -76,10 +71,7 @@ class Backbone(nn.Module):
         stages = nn.ModuleList()
         in_ch = cfg.stem_channels
         for out_ch in cfg.channels:
-            blocks = [_Block(in_ch, out_ch, rng, 2)]
-            for _ in range(cfg.blocks_per_stage - 1):
-                blocks.append(_Block(out_ch, out_ch, rng, 1))
-            stages.append(nn.Sequential(*blocks))
+            stages.append(nn.Sequential(_Block(in_ch, out_ch, rng)))
             in_ch = out_ch
         self.stages = stages
 

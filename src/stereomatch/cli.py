@@ -226,8 +226,8 @@ def gradcheck_suite():
         ("smooth_l1_loss", lambda: grad_check(
             lambda t: smooth_l1(t, gt, mask, 1.0), pred)),
         ("total_loss", lambda: grad_check(
-            lambda t: total_loss(upsample_disparity(t, 4), Tensor(pred), gt, mask,
-                                 RunConfig().model.loss), coarse)),
+            lambda t: total_loss(upsample_disparity(t, 4), Tensor(pred), gt, mask),
+            coarse)),
     ]
     return checks
 

@@ -19,12 +19,14 @@ from .autodiff import Tensor
 from .autodiff.tensor import _node
 from .errors import ConfigError, ShapeError
 
+# Added to the cosine denominator to keep the norm product away from zero.
+EPSILON = 1e-8
+
 
 @dataclass
 class MatchingConfig:
     max_disparity: int = 64  # full-resolution pixels
     corr_channels: int = 8
-    epsilon: float = 1e-8
 
     def validate(self) -> "MatchingConfig":
         if self.max_disparity < 4 or self.max_disparity % 4 != 0:
@@ -33,8 +35,6 @@ class MatchingConfig:
             )
         if self.corr_channels < 1:
             raise ConfigError(f"matching.corr_channels must be >= 1, got {self.corr_channels}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"matching.epsilon must be positive, got {self.epsilon}")
         return self
 
 
@@ -61,8 +61,7 @@ def build_correlation(f_l: Tensor, f_r: Tensor, cfg: MatchingConfig) -> Tensor:
     Returns a [B,1,D,H,W] volume on the features' grid, one pixel of that
     grid per step along D.  Entry (b, 0, d, y, x) compares f_l at column x
     with f_r at column x - d; candidates that would reach past the left image
-    border are exactly zero.  A small epsilon keeps the norm product away
-    from zero.
+    border are exactly zero.  EPSILON keeps the norm product away from zero.
     """
     if f_l.shape != f_r.shape:
         raise ShapeError(f"feature shapes differ: {f_l.shape} vs {f_r.shape}")
@@ -85,7 +84,7 @@ def build_correlation(f_l: Tensor, f_r: Tensor, cfg: MatchingConfig) -> Tensor:
         axis=1, keepdims=True,
     )
     norms = ad.mul(ad.reshape(norm_l, (batch, 1, 1, height, width)), _shift_stack(norm_r, num_disp))
-    return ad.div(numer, ad.add(norms, cfg.epsilon))
+    return ad.div(numer, ad.add(norms, EPSILON))
 
 
 class CorrelationLift(nn.Module):

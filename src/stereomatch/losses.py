@@ -7,30 +7,16 @@ ground truth under the same validity mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .autodiff.tensor import _node
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 
-
-@dataclass
-class LossWeights:
-    lambda0: float = 0.3
-    lambda1: float = 1.0
-    smooth_l1_beta: float = 1.0
-
-    def validate(self) -> "LossWeights":
-        if self.lambda0 < 0 or self.lambda1 < 0:
-            raise ConfigError(
-                f"loss weights must be nonnegative, got {self.lambda0}, {self.lambda1}"
-            )
-        if not self.smooth_l1_beta > 0:
-            raise ConfigError(f"smooth_l1_beta must be positive, got {self.smooth_l1_beta}")
-        return self
+# CGI-Stereo's weights: 0.3 on the upsampled coarse term, 1.0 on the full one.
+LAMBDA0 = 0.3
+LAMBDA1 = 1.0
 
 
 def _lerp_matrix(n_src: int, scale: int) -> np.ndarray:
@@ -104,10 +90,9 @@ def smooth_l1(pred: Tensor, gt: np.ndarray, mask: np.ndarray, beta: float = 1.0)
     return ad.div(total, float(count))
 
 
-def total_loss(d0_upsampled: Tensor, d1: Tensor, gt: np.ndarray, mask: np.ndarray,
-               weights: LossWeights) -> Tensor:
-    """Weighted sum of the smooth-L1 terms for both outputs (both already at
-    full resolution)."""
-    term0 = smooth_l1(d0_upsampled, gt, mask, weights.smooth_l1_beta)
-    term1 = smooth_l1(d1, gt, mask, weights.smooth_l1_beta)
-    return ad.add(ad.mul(term0, weights.lambda0), ad.mul(term1, weights.lambda1))
+def total_loss(d0_upsampled: Tensor, d1: Tensor, gt: np.ndarray, mask: np.ndarray) -> Tensor:
+    """LAMBDA0 * smooth-L1(d0) + LAMBDA1 * smooth-L1(d1), both outputs already
+    at full resolution."""
+    term0 = smooth_l1(d0_upsampled, gt, mask)
+    term1 = smooth_l1(d1, gt, mask)
+    return ad.add(ad.mul(term0, LAMBDA0), ad.mul(term1, LAMBDA1))

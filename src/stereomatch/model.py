@@ -18,7 +18,6 @@ from .correlation import (
     build_correlation,
 )
 from .errors import ConfigError, ShapeError
-from .losses import LossWeights
 from .regression import DisparityMap, SuperpixelUpsample, top2_regression
 
 
@@ -27,7 +26,6 @@ class ModelConfig:
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     matching: MatchingConfig = field(default_factory=MatchingConfig)
     cgf: CgfConfig = field(default_factory=CgfConfig)
-    loss: LossWeights = field(default_factory=LossWeights)
     afv_enabled: bool = True
     seed: int = 0
 
@@ -35,7 +33,8 @@ class ModelConfig:
         self.backbone.validate()
         self.matching.validate()
         self.cgf.validate()
-        self.loss.validate()
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.matching.max_disparity % 32 != 0:
             raise ConfigError(
                 f"max_disparity must be a multiple of 32 so the quarter-resolution "

@@ -60,16 +60,10 @@ def _schema(rc: RunConfig):
         ("afv_enabled", _parse_bool, m, "afv_enabled"),
         ("backbone.stem_channels", int, m.backbone, "stem_channels"),
         ("backbone.channels", _parse_int_tuple, m.backbone, "channels"),
-        ("backbone.blocks_per_stage", int, m.backbone, "blocks_per_stage"),
         ("matching.max_disparity", int, m.matching, "max_disparity"),
         ("matching.corr_channels", int, m.matching, "corr_channels"),
-        ("matching.epsilon", float, m.matching, "epsilon"),
         ("cgf.positions", _parse_str_tuple, m.cgf, "positions"),
         ("cgf.detach_context", _parse_bool, m.cgf, "detach_context"),
-        ("cgf.fusion_kernel", int, m.cgf, "fusion_kernel"),
-        ("loss.lambda0", float, m.loss, "lambda0"),
-        ("loss.lambda1", float, m.loss, "lambda1"),
-        ("loss.smooth_l1_beta", float, m.loss, "smooth_l1_beta"),
         ("train.steps", int, t, "steps"),
         ("train.lr", float, t, "lr"),
         ("train.lr_decay_steps", _parse_int_tuple, t, "lr_decay_steps"),

@@ -47,6 +47,8 @@ class TrainParams:
             )
         if self.train_samples < 1 or self.eval_samples < 1:
             raise ConfigError("train_samples and eval_samples must be >= 1")
+        if self.data_seed < 0:
+            raise ConfigError(f"train.data_seed must be >= 0, got {self.data_seed}")
         for key in ("lr", "lr_decay_factor"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value >= 0):
@@ -119,13 +121,8 @@ def batches(samples: list[StereoSample], batch_size: int) -> list[StereoSample]:
 
 def sample_loss(model: StereoModel, sample: StereoSample):
     d0, d1 = model(sample.left, sample.right)
-    return total_loss(
-        upsample_disparity(d0.values, 4),
-        d1.values,
-        sample.gt_disparity,
-        sample.valid_mask,
-        model.config.loss,
-    )
+    return total_loss(upsample_disparity(d0.values, 4), d1.values,
+                      sample.gt_disparity, sample.valid_mask)
 
 
 def train_step(model: StereoModel, optim: Adam, sample: StereoSample) -> tuple[float, bool]:

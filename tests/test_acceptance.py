@@ -22,6 +22,7 @@ from stereomatch.aggregation import ContextGeometryFusion
 from stereomatch.backbone import BackboneConfig
 from stereomatch.cli import gradcheck_suite, main
 from stereomatch.correlation import (
+    EPSILON,
     AttentionFeatureVolume,
     MatchingConfig,
     build_correlation,
@@ -72,7 +73,7 @@ def test_oracle_equivalence():
         f_r = rng.standard_normal((1, 4, 6, 8))
         cfg = MatchingConfig(max_disparity=16, corr_channels=4)
         got = build_correlation(ad.Tensor(f_l), ad.Tensor(f_r), cfg).data
-        want = correlation_naive(f_l, f_r, 4, cfg.epsilon)
+        want = correlation_naive(f_l, f_r, 4, EPSILON)
         worst_corr = max(worst_corr, np.abs(got - want).max())
 
         afv = AttentionFeatureVolume(6, cfg, np.random.default_rng(50 + seed))

@@ -37,8 +37,6 @@ def test_cgf_config_validation():
     with pytest.raises(ConfigError):
         CgfConfig(positions=("middle",)).validate()
     with pytest.raises(ConfigError):
-        CgfConfig(fusion_kernel=4).validate()
-    with pytest.raises(ConfigError):
         CgfConfig(positions=("decoder", "decoder")).validate()
     assert CgfConfig(positions=()).validate().positions == ()
 

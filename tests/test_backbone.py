@@ -8,10 +8,8 @@ from stereomatch.backbone import Backbone, BackboneConfig, MergeUpsample
 from stereomatch.errors import ConfigError, ShapeError
 
 
-def tiny_cfg(**kw):
-    base = dict(stem_channels=4, channels=(6, 8, 10, 12), blocks_per_stage=1)
-    base.update(kw)
-    return BackboneConfig(**base)
+def tiny_cfg():
+    return BackboneConfig(stem_channels=4, channels=(6, 8, 10, 12))
 
 
 def levels(pyr):
@@ -25,6 +23,10 @@ def test_pyramid_shapes_32():
     assert pyr.f8.shape == (1, 8, 4, 4)
     assert pyr.f16.shape == (1, 10, 2, 2)
     assert pyr.f32.shape == (1, 12, 1, 1)
+    # checkpoints name each stage's conv `stages.<i>.0.body.*`
+    stage_names = {n.rsplit(".", 2)[0] for n, _ in net.named_parameters()
+                   if n.startswith("stages.")}
+    assert stage_names == {f"stages.{i}.0.body" for i in range(4)}
 
 
 def test_pyramid_shapes_64x128():
@@ -59,19 +61,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         BackboneConfig(channels=(1, 2, 3)).validate()
     with pytest.raises(ConfigError):
-        BackboneConfig(blocks_per_stage=0).validate()
-    with pytest.raises(ConfigError):
         BackboneConfig(stem_channels=0).validate()
-
-
-def test_blocks_per_stage_adds_residual_blocks():
-    cfg = tiny_cfg(blocks_per_stage=2)
-    net = Backbone(cfg, np.random.default_rng(0))
-    pyr = net(ad.Tensor(np.random.default_rng(0).random((1, 3, 32, 32))))
-    assert pyr.f4.shape == (1, 6, 8, 8)
-    # twice the conv params of the single-block variant in each stage
-    single = Backbone(tiny_cfg(), np.random.default_rng(0))
-    assert net.param_count() > single.param_count()
 
 
 def test_merge_preserves_extents():

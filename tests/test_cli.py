@@ -351,6 +351,15 @@ def test_train_rejects_non_finite_or_negative_lr(tmp_path, capsys, key, value):
     assert not (out / "model.ckpt").exists()
 
 
+def test_train_rejects_negative_seed(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0" in err and "Traceback" not in err
+    assert not (out / "model.ckpt").exists()
+
+
 def test_ablate_unknown_axis_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["ablate", "--axis", "nonsense"])

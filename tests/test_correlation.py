@@ -131,8 +131,6 @@ def test_matching_config_validation():
         MatchingConfig(max_disparity=10).validate()
     with pytest.raises(ConfigError):
         MatchingConfig(corr_channels=0).validate()
-    with pytest.raises(ConfigError):
-        MatchingConfig(epsilon=0.0).validate()
 
 
 def test_lift_shape_and_zero_map():

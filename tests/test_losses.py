@@ -1,12 +1,11 @@
-"""Smooth-L1 training loss, bilinear prediction upsampling, weighting."""
+"""Smooth-L1 training loss, bilinear prediction upsampling, the two-term total."""
 
 import numpy as np
 import pytest
 
 from stereomatch import autodiff as ad
-from stereomatch.errors import ConfigError, ShapeError
+from stereomatch.errors import ShapeError
 from stereomatch.losses import (
-    LossWeights,
     bilinear_upsample,
     smooth_l1,
     total_loss,
@@ -14,14 +13,6 @@ from stereomatch.losses import (
 )
 
 from reference import smooth_l1_naive
-
-
-def test_weights_validation():
-    LossWeights().validate()
-    with pytest.raises(ConfigError):
-        LossWeights(lambda0=-0.1).validate()
-    with pytest.raises(ConfigError):
-        LossWeights(smooth_l1_beta=0.0).validate()
 
 
 class TestSmoothL1:
@@ -151,17 +142,15 @@ class TestTotalLoss:
     def test_perfect_predictions(self):
         gt = np.random.default_rng(10).uniform(1, 20, (1, 1, 8, 8))
         mask = np.ones_like(gt, bool)
-        w = LossWeights()
-        loss = total_loss(ad.Tensor(gt.copy()), ad.Tensor(gt.copy()), gt, mask, w)
+        loss = total_loss(ad.Tensor(gt.copy()), ad.Tensor(gt.copy()), gt, mask)
         assert loss.item() == 0.0
 
     def test_weighting_of_coarse_term(self):
         gt = np.full((1, 1, 4, 4), 10.0)
         mask = np.ones_like(gt, bool)
-        w = LossWeights(lambda0=0.3, lambda1=1.0, smooth_l1_beta=1.0)
-        # coarse branch off by exactly 1 px (linear regime => 0.5 each pixel),
-        # fine branch perfect
-        loss = total_loss(ad.Tensor(gt + 1.0), ad.Tensor(gt.copy()), gt, mask, w)
+        # coarse branch off by exactly 1 px (linear regime => 0.5 each pixel,
+        # times LAMBDA0 = 0.3), fine branch perfect
+        loss = total_loss(ad.Tensor(gt + 1.0), ad.Tensor(gt.copy()), gt, mask)
         assert np.isclose(loss.item(), 0.15, atol=1e-15)
 
     def test_gradcheck_through_both_terms(self):
@@ -170,17 +159,16 @@ class TestTotalLoss:
         mask = rng.random(gt.shape) > 0.2
         d0 = rng.uniform(0, 3, (1, 1, 2, 2))
         d1 = gt + rng.standard_normal(gt.shape) * 2.0
-        w = LossWeights()
         d1_t = ad.Tensor(d1)
 
         def wrt_d0(t):
-            return total_loss(upsample_disparity(t, 4), d1_t, gt, mask, w)
+            return total_loss(upsample_disparity(t, 4), d1_t, gt, mask)
 
         assert ad.grad_check(wrt_d0, d0, step=1e-4) <= 1e-4
 
         d0_t = ad.Tensor(d0)
 
         def wrt_d1(t):
-            return total_loss(upsample_disparity(d0_t, 4), t, gt, mask, w)
+            return total_loss(upsample_disparity(d0_t, 4), t, gt, mask)
 
         assert ad.grad_check(wrt_d1, d1, step=1e-4) <= 1e-4

@@ -61,6 +61,14 @@ def test_overrides_beat_file():
 def test_unknown_keys_listed():
     with pytest.raises(ConfigError, match="unknown config keys: bogus, stem"):
         load_run_config("bogus=1\nstem=2\n")
+    # the loss weights, cosine epsilon, CGF kernel and backbone depth are
+    # module constants, not keys
+    for pair in ("loss.lambda0=nan", "loss.lambda1=1", "loss.smooth_l1_beta=inf",
+                 "matching.epsilon=inf", "cgf.fusion_kernel=4",
+                 "backbone.blocks_per_stage=2"):
+        key = pair.split("=")[0]
+        with pytest.raises(ConfigError, match=f"unknown config keys: {key};"):
+            load_run_config(pair + "\n")
 
 
 def test_bad_values_name_the_key():
@@ -75,6 +83,12 @@ def test_validation_still_applies():
         load_run_config("matching.max_disparity=31\n")
     with pytest.raises(ConfigError):
         load_run_config("train.batch_size=0\n")
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        load_run_config("seed=-1\n")
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        load_run_config(overrides={"seed": "-1"})
+    with pytest.raises(ConfigError, match="train.data_seed must be >= 0"):
+        load_run_config("train.data_seed=-5\n")
 
 
 def test_serialization_roundtrip():
@@ -92,7 +106,15 @@ def test_serialization_roundtrip():
 
 
 def test_serialized_text_is_exhaustive():
+    # the full key set, in schema order: a new knob must be added here on purpose
     text = run_config_to_text(RunConfig())
-    for key in ("seed", "afv_enabled", "backbone.channels", "matching.epsilon",
-                "cgf.fusion_kernel", "loss.smooth_l1_beta", "train.eval_samples"):
-        assert f"{key}=" in text
+    assert [line.split("=")[0] for line in text.splitlines()] == [
+        "seed", "afv_enabled",
+        "backbone.stem_channels", "backbone.channels",
+        "matching.max_disparity", "matching.corr_channels",
+        "cgf.positions", "cgf.detach_context",
+        "train.steps", "train.lr", "train.lr_decay_steps", "train.lr_decay_factor",
+        "train.batch_size", "train.data_seed", "train.height", "train.width",
+        "train.mode", "train.constant_disparity", "train.train_samples",
+        "train.eval_samples",
+    ]
