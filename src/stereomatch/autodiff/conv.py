@@ -9,11 +9,12 @@ the phase-subsampled padded input with that phase's sub-kernel; the kernel
 gradient is the same loop with the cotangent on the output grid.  The
 input-gradient routine is the exact adjoint of the forward map, also per
 stride phase: one stride-1 correlation of the cotangent with that phase's
-channel-swapped, spatially-flipped sub-kernel, written to every stride-th
-input position, so no multiply-add hits a structural zero.  The transposed
-convolution *is* that adjoint applied as a forward op.  Sharing one code path
-guarantees the inner-product identity ``<conv(x), y> == <x, conv_transpose(y)>``
-up to roundoff.
+channel-swapped, spatially-flipped sub-kernel, padded per side so that it
+computes only the phase's positions inside the input, and written straight to
+every stride-th input position, so no multiply-add hits a structural zero and
+nothing is cropped.  The transposed convolution *is* that adjoint applied as a
+forward op.  Sharing one code path guarantees the inner-product identity
+``<conv(x), y> == <x, conv_transpose(y)>`` up to roundoff.
 """
 
 from __future__ import annotations
@@ -46,9 +47,11 @@ def _norm_tuple(value, n: int, name: str) -> tuple[int, ...]:
     return value
 
 
-def _lowering(x, kshape, stride, padding):
+def _lowering(x, kshape, stride, pads):
     """Flat-shift lowering (kn2row) of a strided correlation of the
     zero-padded x [B,C,*S] with a kernel of kshape: GEMMs on views, no im2col.
+    pads holds one (lo, hi) pair per axis: lo zeros before, hi after; a
+    negative side drops that many entries of x instead.
 
     Taps r, r+s, r+2s, ... of an axis read only padded positions r (mod s), so
     the correlation is a sum over stride phases r of stride-1 ones, each on
@@ -67,13 +70,13 @@ def _lowering(x, kshape, stride, padding):
     builds each phase's stack as it is reached.
     """
     osp = []
-    for ax, (n, k, s, p) in enumerate(zip(x.shape[2:], kshape, stride, padding)):
-        if n + 2 * p < k:
+    for ax, (n, k, s, (lo, hi)) in enumerate(zip(x.shape[2:], kshape, stride, pads)):
+        if n + lo + hi < k:
             raise ShapeError(
-                f"spatial axis {ax}: padded extent {n + 2 * p} is smaller "
+                f"spatial axis {ax}: padded extent {n + lo + hi} is smaller "
                 f"than kernel extent {k}"
             )
-        osp.append((n + 2 * p - k) // s + 1)
+        osp.append((n + lo + hi - k) // s + 1)
     grid = tuple(o + (k - 1) // s for o, k, s in zip(osp, kshape, stride))
     size = int(np.prod(grid))
     pitch = [int(q) for q in np.cumprod((1,) + grid[:0:-1])[::-1]]
@@ -85,9 +88,9 @@ def _lowering(x, kshape, stride, padding):
         for phase in itertools.product(*(range(min(s, k)) for s, k in zip(stride, kshape))):
             # the phase grid holds x[a::s] from position f on, zeros elsewhere
             front, part, ksub = [], [], []
-            for m, r, s, p, k in zip(grid, phase, stride, padding, kshape):
-                f = min(m, max(0, -(-(p - r) // s)))
-                a = r + s * f - p
+            for m, r, s, (lo, _), k in zip(grid, phase, stride, pads, kshape):
+                f = min(m, max(0, -(-(lo - r) // s)))
+                a = r + s * f - lo
                 front.append(f)
                 part.append(slice(a, a + s * (m - f), s))
                 ksub.append((k - 1 - r) // s + 1)
@@ -111,9 +114,10 @@ def _lowering(x, kshape, stride, padding):
     return (osp[0],) + grid[1:], valid, span, phases()
 
 
-def _corr_forward(x, w, stride, padding) -> np.ndarray:
-    """Plain strided correlation of x [B,Ci,*S] with w [Co,Ci,*K] -> [B,Co,*O]."""
-    ogrid, valid, span, phases = _lowering(x, w.shape[2:], stride, padding)
+def _corr_forward(x, w, stride, pads) -> np.ndarray:
+    """Plain strided correlation of x [B,Ci,*S] with w [Co,Ci,*K] -> [B,Co,*O],
+    returned as a view of the output grid."""
+    ogrid, valid, span, phases = _lowering(x, w.shape[2:], stride, pads)
     acc = np.zeros(x.shape[:1] + w.shape[:1] + ogrid, np.result_type(x, w))
     flat = acc.reshape(acc.shape[:2] + (-1,))[:, :, :span]
     for taps, views in phases:
@@ -125,13 +129,13 @@ def _corr_forward(x, w, stride, padding) -> np.ndarray:
             block = flat[:, :, cols]
             for wt, view in gemms:
                 block += wt @ view[:, :, cols]
-    return np.ascontiguousarray(acc[valid])
+    return acc[valid]
 
 
-def _corr_kernel_grad(x, g, stride, padding, kshape) -> np.ndarray:
+def _corr_kernel_grad(x, g, stride, pads, kshape) -> np.ndarray:
     """Gradient of the correlation above with respect to the kernel: the same
     loop with g embedded on the output grid."""
-    ogrid, valid, span, phases = _lowering(x, kshape, stride, padding)
+    ogrid, valid, span, phases = _lowering(x, kshape, stride, pads)
     gg = np.zeros(g.shape[:2] + ogrid, np.result_type(x, g))
     gg[valid] = g
     gflat = gg.reshape(gg.shape[:2] + (-1,))[:, :, :span]
@@ -154,26 +158,31 @@ def _corr_input_grad(g, w, stride, padding, in_spatial) -> np.ndarray:
 
     Polyphase: kernel taps r, r+s, r+2s, ... of an axis only reach padded
     input positions r (mod s), so each stride phase r is one stride-1 full
-    correlation of g with its flipped, channel-swapped sub-kernel, written to
-    the positions r::s of the padded input.  The buffer also covers any tail
-    no tap reaches (left zero); the padding is cropped away.
+    correlation of g with its flipped, channel-swapped sub-kernel, whose entry
+    j lands on padded position r + s*j.  Per axis, the phase's correlation is
+    padded so that it yields exactly the entries j in [first, stop) that land
+    inside the input: lo = ksub - 1 - first zeros before g (negative when the
+    phase starts inside g) and hi = stop - O after it (negative when the
+    input ends before the full correlation does).  Each result is written
+    straight to its input positions; a tail that no tap reaches stays zero.
     """
     nsp = len(in_spatial)
-    osp, kshape = g.shape[2:], w.shape[2:]
-    size = tuple(
-        max(stride[i] * (osp[i] - 1 - (-kshape[i] // stride[i])), padding[i] + in_spatial[i])
-        for i in range(nsp)
-    )
-    out = np.zeros(g.shape[:1] + w.shape[1:2] + size, dtype=np.result_type(g, w))
+    out = np.zeros(g.shape[:1] + w.shape[1:2] + tuple(in_spatial), np.result_type(g, w))
     keep, spatial = (slice(None), slice(None)), tuple(range(2, 2 + nsp))
-    for phase in np.ndindex(*(min(s, k) for s, k in zip(stride, kshape))):
+    for phase in np.ndindex(*(min(s, k) for s, k in zip(stride, w.shape[2:]))):
+        pads, at = [], []
+        for r, s, p, n, o, k in zip(phase, stride, padding, in_spatial, g.shape[2:], w.shape[2:]):
+            ksub = (k - 1 - r) // s + 1
+            first = -(-(p - r) // s)
+            stop = min(-(-(p + n - r) // s), o + ksub - 1)
+            pads.append((ksub - 1 - first, stop - o))
+            at.append(slice(r + s * first - p, r + s * stop - p, s))
+        if any(sl.start >= sl.stop for sl in at):
+            continue  # no input position of this phase is reached
         sub = w[keep + tuple(slice(r, None, s) for r, s in zip(phase, stride))]
         w_sub = np.flip(sub, axis=spatial).swapaxes(0, 1)
-        dxp = _corr_forward(g, w_sub, (1,) * nsp, tuple(k - 1 for k in sub.shape[2:]))
-        at = tuple(slice(r, r + s * n, s) for r, s, n in zip(phase, stride, dxp.shape[2:]))
-        out[keep + at] = dxp
-    crop = keep + tuple(slice(padding[i], padding[i] + in_spatial[i]) for i in range(nsp))
-    return np.ascontiguousarray(out[crop])
+        out[keep + tuple(at)] = _corr_forward(g, w_sub, (1,) * nsp, pads)
+    return out
 
 
 def _conv(x, w, bias, stride, padding, nsp, op, transpose) -> Tensor:
@@ -213,20 +222,21 @@ def _conv(x, w, bias, stride, padding, nsp, op, transpose) -> Tensor:
             raise ShapeError(f"{op}: bias shape {bias.shape} != ({cout},)")
         parents.append(bias)
 
+    pads = tuple((p, p) for p in padding)
     if transpose:
         out = _corr_input_grad(x.data, w.data, stride, padding, out_spatial)
     else:
-        out = _corr_forward(x.data, w.data, stride, padding)
+        out = np.ascontiguousarray(_corr_forward(x.data, w.data, stride, pads))
     if bias is not None:
-        out = out + bias.data.reshape((1, -1) + (1,) * nsp)
+        out += bias.data.reshape((1, -1) + (1,) * nsp)
 
     def bw(g):
         if transpose:
-            gx = _corr_forward(g, w.data, stride, padding)
-            gw = _corr_kernel_grad(g, x.data, stride, padding, kshape)
+            gx = np.ascontiguousarray(_corr_forward(g, w.data, stride, pads))
+            gw = _corr_kernel_grad(g, x.data, stride, pads, kshape)
         else:
             gx = _corr_input_grad(g, w.data, stride, padding, x.shape[2:])
-            gw = _corr_kernel_grad(x.data, g, stride, padding, kshape)
+            gw = _corr_kernel_grad(x.data, g, stride, pads, kshape)
         if bias is None:
             return gx, gw
         gb = g.sum(axis=(0,) + tuple(range(2, 2 + nsp)))

@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import GraphError, ShapeError
+from ..errors import ConfigError, GraphError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -287,13 +287,23 @@ def sigmoid(t) -> Tensor:
 
 
 def leaky_relu(t, negative_slope: float = 0.2) -> Tensor:
+    """x where x >= 0, else negative_slope * x, for a slope in [0, 1]: then
+    max(x, slope * x) picks exactly that, so no mask is kept."""
+    if not 0.0 <= negative_slope <= 1.0:
+        raise ConfigError(f"leaky_relu: negative_slope must be in [0, 1], got {negative_slope}")
     t = _lift(t)
-    scale = np.where(t.data >= 0, 1.0, negative_slope)
+    out_data = t.data * negative_slope
+    np.maximum(t.data, out_data, out=out_data)
 
     def bw(g):
-        return (g * scale,)
+        # the mask times (1 - slope), plus slope, is exactly 1.0 or slope for
+        # a slope in [0, 1], without the branches of np.where
+        grad = (t.data >= 0) * (1.0 - negative_slope)
+        grad += negative_slope
+        grad *= g
+        return (grad,)
 
-    return _node(t.data * scale, (t,), bw)
+    return _node(out_data, (t,), bw)
 
 
 # -- shape manipulation -------------------------------------------------------
@@ -400,13 +410,28 @@ def batch_norm(
             f"got {gamma.shape} and {beta.shape}"
         )
     cshape = (1, channels) + (1,) * (x.ndim - 2)
+    axes = (0,) + tuple(range(2, x.ndim))
 
     if not training:
-        inv = 1.0 / np.sqrt(running_var + eps)
-        xn = mul(sub(x, running_mean.reshape(cshape)), inv.reshape(cshape))
-        return add(mul(xn, reshape(gamma, cshape)), reshape(beta, cshape))
+        # (x - mean) * inv * gamma + beta, in that order, on one new array.
+        # The gamma gradient recomputes the normalized x instead of keeping
+        # it, from a copy of the mean: a train-mode forward may update the
+        # buffer in place before this node's backward runs.
+        mean = running_mean.reshape(cshape).copy()
+        inv = (1.0 / np.sqrt(running_var + eps)).reshape(cshape)
+        out_data = x.data - mean
+        out_data *= inv
+        out_data *= gamma.data.reshape(cshape)
+        out_data += beta.data.reshape(cshape)
 
-    axes = (0,) + tuple(range(2, x.ndim))
+        def bw_eval(g):
+            dx = g * gamma.data.reshape(cshape)
+            dx *= inv
+            dgamma = (g * ((x.data - mean) * inv)).sum(axis=axes)
+            return dx, dgamma, g.sum(axis=axes)
+
+        return _node(out_data, (x, gamma, beta), bw_eval)
+
     mean = x.data.mean(axis=axes)
     var = x.data.var(axis=axes)
     count = x.data.size // channels

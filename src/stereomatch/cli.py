@@ -93,6 +93,9 @@ def gradcheck_suite():
     bn_x = rng.standard_normal((2, 3, 4, 4))
     bn_gamma = rng.standard_normal(3) * 0.5 + 1.0
     bn_beta = rng.standard_normal(3)
+    # own generator, so the draws from rng below do not shift
+    eval_rng = np.random.default_rng(9)
+    bn_mean, bn_var = eval_rng.standard_normal(3), eval_rng.uniform(0.5, 2.0, 3)
 
     def bn_fn(training):
         def build(t):
@@ -108,6 +111,9 @@ def gradcheck_suite():
         ("batch_norm_gamma", lambda: grad_check(_probed(
             lambda t: ad.batch_norm(Tensor(bn_x), t, Tensor(bn_beta), np.zeros(3),
                                     np.ones(3), training=True)), bn_gamma)),
+        ("batch_norm_eval_gamma", lambda: grad_check(_probed(
+            lambda t: ad.batch_norm(Tensor(bn_x), t, Tensor(bn_beta), bn_mean,
+                                    bn_var, training=False)), bn_gamma)),
     ]
 
     cx = rng.standard_normal((1, 2, 6, 7))

@@ -38,21 +38,26 @@ class MatchingConfig:
         return self
 
 
-def _shift_stack(t: Tensor, num_disp: int) -> Tensor:
-    """Map [B,C,H,W] to [B,C,D,H,W]: slice d is `t` shifted right by d
-    columns, with exact zeros in the d columns it leaves empty."""
-    width = t.shape[3]
-    out = np.zeros(t.shape[:2] + (num_disp,) + t.shape[2:])
+def _shift_dot(a: Tensor, b: Tensor, num_disp: int) -> Tensor:
+    """Map two [B,C,H,W] tensors to [B,1,D,H,W]: slice d is the channel sum
+    of `a` times `b` shifted right by d columns, with exact zeros in the d
+    columns the shift leaves empty.  No [B,C,D,H,W] array is built."""
+    width = a.shape[3]
+    x, y = a.data, b.data
+    out = np.zeros((a.shape[0], 1, num_disp) + a.shape[2:], np.result_type(x, y))
     for d in range(num_disp):
-        out[:, :, d, :, d:] = t.data[..., : width - d]
+        out[:, 0, d, :, d:] = (x[..., d:] * y[..., : width - d]).sum(axis=1)
 
     def bw(g):
-        grad = np.zeros(t.shape)
+        ga = np.zeros(x.shape, np.result_type(x, y, g))
+        gb = np.zeros_like(ga)
         for d in range(num_disp):
-            grad[..., : width - d] += g[:, :, d, :, d:]
-        return (grad,)
+            gd = g[:, :, d, :, d:]
+            ga[..., d:] += gd * y[..., : width - d]
+            gb[..., : width - d] += gd * x[..., d:]
+        return ga, gb
 
-    return _node(out, (t,), bw)
+    return _node(out, (a, b), bw)
 
 
 def build_correlation(f_l: Tensor, f_r: Tensor, cfg: MatchingConfig) -> Tensor:
@@ -67,7 +72,7 @@ def build_correlation(f_l: Tensor, f_r: Tensor, cfg: MatchingConfig) -> Tensor:
         raise ShapeError(f"feature shapes differ: {f_l.shape} vs {f_r.shape}")
     if f_l.ndim != 4:
         raise ShapeError(f"expected [B,C,H,W] features, got {f_l.shape}")
-    batch, channels, height, width = f_l.shape
+    width = f_l.shape[3]
     num_disp = cfg.max_disparity // 4
     if num_disp > width:
         raise ShapeError(
@@ -79,11 +84,8 @@ def build_correlation(f_l: Tensor, f_r: Tensor, cfg: MatchingConfig) -> Tensor:
     norm_l = ad.sqrt(ad.add(ad.tsum(ad.mul(f_l, f_l), axis=1, keepdims=True), 1e-30))
     norm_r = ad.sqrt(ad.add(ad.tsum(ad.mul(f_r, f_r), axis=1, keepdims=True), 1e-30))
 
-    numer = ad.tsum(
-        ad.mul(ad.reshape(f_l, (batch, channels, 1, height, width)), _shift_stack(f_r, num_disp)),
-        axis=1, keepdims=True,
-    )
-    norms = ad.mul(ad.reshape(norm_l, (batch, 1, 1, height, width)), _shift_stack(norm_r, num_disp))
+    numer = _shift_dot(f_l, f_r, num_disp)
+    norms = _shift_dot(norm_l, norm_r, num_disp)
     return ad.div(numer, ad.add(norms, EPSILON))
 
 

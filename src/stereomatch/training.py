@@ -127,10 +127,12 @@ def sample_loss(model: StereoModel, sample: StereoSample):
 
 def train_step(model: StereoModel, optim: Adam, sample: StereoSample) -> tuple[float, bool]:
     """One forward/backward/update.  A non-finite loss or parameter gradient
-    rejects the step: parameters and optimizer state stay untouched and a
-    diagnostic goes to stderr.  Returns (loss value, whether the update was
-    applied)."""
+    rejects the step: parameters, normalization buffers and optimizer state
+    stay untouched and a diagnostic goes to stderr.  Returns (loss value,
+    whether the update was applied)."""
     model.zero_grad()
+    # the train-mode forward moves the running statistics in place
+    buffers = [(b, b.copy()) for _, b in model.named_buffers()]
     loss = sample_loss(model, sample)
     value = loss.item()
     if np.isfinite(value):
@@ -143,6 +145,8 @@ def train_step(model: StereoModel, optim: Adam, sample: StereoSample) -> tuple[f
         reason = f"non-finite gradient in {len(bad)} parameter(s), first {bad[0]}"
     else:
         reason = f"loss is {value!r}"
+    for b, saved in buffers:
+        b[...] = saved
     print(f"train_step: rejecting update at optimizer step {optim.t + 1}: {reason}",
           file=sys.stderr)
     return value, False

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stereomatch import autodiff as ad
+from stereomatch.autodiff import conv
 from stereomatch.errors import ShapeError
 
 from reference import (
@@ -93,6 +94,8 @@ def test_conv_rejects_bad_shapes():
         ((1, 2, 3, 4), (2, 3, 1, 1), (2, 2), (0, 0)),  # k < s: empty phases
         ((1, 2, 3, 4), (2, 3, 2, 2), (3, 3), (0, 0)),
         ((1, 2, 3, 4), (2, 3, 3, 3), (3, 2), (2, 1)),  # uneven stride and padding
+        ((1, 2, 4, 5), (2, 3, 3, 3), (2, 2), (2, 2)),  # padding >= stride
+        ((1, 2, 6, 6), (2, 3, 3, 3), (1, 1), (3, 3)),  # padding >= kernel: starts inside x
     ],
 )
 def test_conv_transpose2d_matches_naive(shape, kshape, stride, padding, rng):
@@ -144,6 +147,33 @@ def test_conv2d_input_grad_leaves_unreached_input_zero(rng):
     assert abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "op,xs,ks,stride,padding",
+    [
+        ("conv2d", (1, 2, 8, 8), (3, 2, 3, 3), (2, 2), (0, 0)),  # tail no tap reaches
+        ("conv2d", (1, 2, 7, 6), (2, 2, 3, 3), (2, 2), (2, 3)),  # padding >= stride
+        ("conv2d", (1, 2, 5, 6), (2, 2, 3, 3), (1, 1), (3, 4)),  # padding >= kernel
+        ("conv3d", (1, 2, 5, 8, 7), (2, 2, 3, 3, 3), (1, 3, 2), (2, 1, 3)),  # uneven strides
+        ("conv3d", (1, 2, 8, 8, 8), (2, 2, 3, 3, 3), (2, 2, 2), (0, 0, 0)),  # tail in 3-D
+    ],
+)
+def test_input_grad_matches_naive(op, xs, ks, stride, padding, rng):
+    """x.grad of <op(x, w), g> is the scalar-loop scatter of g onto the
+    padded input, cropped to x: exactly zero on a tail that no tap reaches."""
+    x = ad.Tensor(rng.standard_normal(xs), requires_grad=True)
+    w = rng.standard_normal(ks)
+    out = getattr(ad, op)(x, ad.Tensor(w), None, stride, padding)
+    g = rng.standard_normal(out.shape)
+    ad.backward(ad.tsum(ad.mul(out, ad.Tensor(g))))
+    naive = conv_transpose2d_naive if op == "conv2d" else conv_transpose3d_naive
+    scattered = naive(g, w, None, stride, (0,) * len(stride))
+    padded = np.zeros(xs[:2] + tuple(n + 2 * p for n, p in zip(xs[2:], padding)))
+    padded[tuple(slice(n) for n in scattered.shape)] = scattered
+    want = padded[(slice(None),) * 2 + tuple(slice(p, p + n) for n, p in zip(xs[2:], padding))]
+    assert np.allclose(x.grad, want, rtol=0, atol=1e-12)
+    assert np.count_nonzero(x.grad) == np.count_nonzero(want)
+
+
 def test_conv_transpose3d_allocates_no_dilated_buffer(rng):
     """Peak allocation of one k=4, s=2, p=1 transposed conv stays below a
     quarter of the im2col of a stride-dilated input (the padded output extent
@@ -180,6 +210,26 @@ def test_conv3d_stride1_peak_is_a_few_copies_of_its_input(rng):
         tracemalloc.stop()
     assert out.shape == (1, cout) + spatial
     assert peak < (k + 2) * padded
+
+
+def test_conv3d_stride1_input_grad_peak_is_a_few_copies_of_its_cotangent(rng):
+    """Peak allocation of the input gradient of the stride-1 3x3x3 conv3d
+    above stays within (k + 3) copies of its padded cotangent: the stack of
+    the last axis's k taps, the padded grid it is built from, the output
+    grid and the result.  A padded result with a cropped copy would add
+    two more."""
+    cin, cout, k, spatial = 8, 8, 3, (8, 32, 64)
+    g = rng.standard_normal((1, cout) + spatial)
+    w = rng.standard_normal((cout, cin, k, k, k))
+    padded = cout * int(np.prod([n + 2 for n in spatial])) * g.itemsize
+    tracemalloc.start()
+    try:
+        gx = conv._corr_input_grad(g, w, (1, 1, 1), (1, 1, 1), spatial)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gx.shape == (1, cin) + spatial
+    assert peak < (k + 3) * padded
 
 
 @pytest.mark.parametrize(
@@ -250,6 +300,9 @@ def test_conv_transpose_rejects_negative_extent():
         ((1, 2, 8, 11), (3, 2, 2, 2), (3, 3), (0, 0), 2),
         ((1, 2, 5, 7, 9), (3, 2, 3, 3, 3), (2, 2, 2), (1, 1, 1), 3),
         ((1, 2, 8, 9), (3, 2, 3, 3), (3, 2), (2, 1), 2),  # uneven stride and padding
+        ((1, 2, 7, 9), (2, 2, 3, 3), (2, 2), (2, 3), 2),  # padding >= stride
+        ((1, 2, 5, 6), (2, 2, 3, 3), (1, 1), (3, 4), 2),  # padding >= kernel
+        ((1, 2, 5, 7, 7), (2, 2, 3, 3, 3), (1, 3, 2), (2, 1, 3), 3),  # uneven strides
     ],
 )
 def test_adjoint_identity(xs, ks, stride, padding, nd, rng):

@@ -1,5 +1,7 @@
 """Correlation volume, channel lift, and attention feature volume."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,24 @@ def test_graph_size_does_not_grow_with_disparity_range():
         vol = build_correlation(f_l, f_r, MatchingConfig(max_disparity=max_disparity))
         sizes.append(_graph_size(vol))
     assert sizes[0] == sizes[1]
+
+
+def test_volume_peak_stays_below_one_feature_sized_volume():
+    """At [1,32,64,128] features and D = 16 the correlation allocates less
+    than one float64 [B,C,D,H,W] volume (33.5 MB): no shifted copy of the
+    features along D and no product of that size is built."""
+    rng = np.random.default_rng(13)
+    shape = (1, 32, 64, 128)
+    f_l, f_r = ad.Tensor(rng.standard_normal(shape)), ad.Tensor(rng.standard_normal(shape))
+    volume_bytes = int(np.prod(shape)) * 16 * 8
+    tracemalloc.start()
+    try:
+        vol = build_correlation(f_l, f_r, MatchingConfig(max_disparity=64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vol.shape == (1, 1, 16, 64, 128)
+    assert peak < volume_bytes
 
 
 @pytest.mark.parametrize("wrt_right", [False, True])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stereomatch import autodiff as ad
-from stereomatch.errors import GraphError, ShapeError
+from stereomatch.errors import ConfigError, GraphError, ShapeError
 
 from reference import softmax_highprec
 
@@ -110,6 +110,28 @@ def test_leaky_relu_values():
     x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
     y = ad.leaky_relu(ad.Tensor(x), 0.2)
     assert np.allclose(y.data, np.where(x >= 0, x, 0.2 * x))
+
+
+def test_leaky_relu_is_bitwise_the_masked_product():
+    """Values and gradients equal where(x >= 0, x, slope * x) and
+    g * where(x >= 0, 1, slope) bit for bit, with signed zeros, infinities,
+    NaN and subnormals among the inputs."""
+    tiny = np.nextafter(0.0, 1.0)
+    x = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, tiny, -tiny,
+                  2.5e-310, -2.5e-310, -1e308, -3.0, 0.7])
+    g = np.random.default_rng(11).standard_normal(x.shape)
+    g[:2] = [-0.0, 0.0]
+    t = ad.Tensor(x, requires_grad=True)
+    y = ad.leaky_relu(t, 0.2)
+    ad.backward(ad.tsum(ad.mul(y, ad.Tensor(g))))
+    want = np.where(x >= 0, x, 0.2 * x)
+    assert np.array_equal(y.data, want, equal_nan=True)
+    assert np.array_equal(np.signbit(y.data), np.signbit(want))
+    want_grad = g * np.where(x >= 0, 1.0, 0.2)
+    assert np.array_equal(t.grad, want_grad)
+    assert np.array_equal(np.signbit(t.grad), np.signbit(want_grad))
+    with pytest.raises(ConfigError):
+        ad.leaky_relu(t, 1.5)  # max(x, slope * x) would pick slope * x for x > 0
 
 
 def test_softmax_matches_highprec_and_normalizes():
@@ -272,3 +294,30 @@ class TestBatchNorm:
             return ad.tsum(ad.mul(ad.batch_norm(t, gamma, beta, rm, rv, training=False), ad.Tensor(w)))
 
         assert ad.grad_check(wrt_x, x) <= 1e-4
+
+    def test_eval_is_one_node_bitwise_equal_to_the_composed_chain(self):
+        """Eval mode is one graph node whose value and x, gamma and beta
+        gradients equal those of sub/mul/mul/add on the running statistics."""
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((2, 3, 4, 5))
+        gamma, beta = rng.uniform(0.5, 1.5, 3), rng.standard_normal(3)
+        rm, rv = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
+        probe = ad.Tensor(rng.standard_normal(x.shape))
+        cshape = (1, 3, 1, 1)
+
+        def run(fused):
+            xt = ad.Tensor(x, requires_grad=True)
+            gt = ad.Tensor(gamma, requires_grad=True)
+            bt = ad.Tensor(beta, requires_grad=True)
+            if fused:
+                y = ad.batch_norm(xt, gt, bt, rm, rv, training=False)
+                assert y._parents == (xt, gt, bt)
+            else:
+                inv = 1.0 / np.sqrt(rv + 1e-5)
+                xn = ad.mul(ad.sub(xt, rm.reshape(cshape)), inv.reshape(cshape))
+                y = ad.add(ad.mul(xn, ad.reshape(gt, cshape)), ad.reshape(bt, cshape))
+            ad.backward(ad.tsum(ad.mul(y, probe)))
+            return y.data, xt.grad, gt.grad, bt.grad
+
+        for fused, chain in zip(run(True), run(False)):
+            assert np.array_equal(fused, chain)

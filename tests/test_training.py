@@ -108,8 +108,6 @@ class TestTrainStep:
         assert optim.t == 0
         assert "rejecting update" in capsys.readouterr().err
         for name, arr in model.state_arrays().items():
-            if name.endswith(("running_mean", "running_var", "num_batches")):
-                continue  # train-mode forward alone moves normalization stats
             assert np.array_equal(arr, before[name]), name
 
     def test_nonfinite_gradient_rejects_update(self, capsys, monkeypatch):
@@ -262,3 +260,26 @@ class TestCheckpoint:
             save_checkpoint(model, str(path))
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.ckpt"]
+
+
+def test_rejected_step_leaves_bn_buffers_untouched(capsys):
+    """One NaN pixel in the left image makes the loss NaN; the rejected step
+    restores the running statistics its train-mode forward moved, so a later
+    eval stays finite."""
+    model = tiny_model()
+    optim = Adam(model)
+    s = tiny_sample()
+    left = s.left.data.copy()
+    left[0, 0, 7, 9] = np.nan
+    broken = StereoSample(ad.Tensor(left), s.right, s.gt_disparity, s.valid_mask,
+                          s.occlusion_mask)
+    before = {name: b.copy() for name, b in model.named_buffers()}
+    value, stepped = train_step(model, optim, broken)
+    assert not stepped and not np.isfinite(value)
+    assert "rejecting update" in capsys.readouterr().err
+    for name, b in model.named_buffers():
+        assert np.array_equal(b, before[name]), name
+    model.eval()
+    with ad.no_grad():
+        _, d1 = model(s.left, s.right)
+    assert np.isfinite(d1.values.data).all()
