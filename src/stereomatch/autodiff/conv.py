@@ -231,11 +231,14 @@ def _conv(x, w, bias, stride, padding, nsp, op, transpose) -> Tensor:
         out += bias.data.reshape((1, -1) + (1,) * nsp)
 
     def bw(g):
+        gx = None  # an input that needs no gradient, such as an image, gets none
         if transpose:
-            gx = np.ascontiguousarray(_corr_forward(g, w.data, stride, pads))
+            if x.requires_grad:
+                gx = np.ascontiguousarray(_corr_forward(g, w.data, stride, pads))
             gw = _corr_kernel_grad(g, x.data, stride, pads, kshape)
         else:
-            gx = _corr_input_grad(g, w.data, stride, padding, x.shape[2:])
+            if x.requires_grad:
+                gx = _corr_input_grad(g, w.data, stride, padding, x.shape[2:])
             gw = _corr_kernel_grad(x.data, g, stride, pads, kshape)
         if bias is None:
             return gx, gw

@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over float64 numpy arrays.
+"""Reverse-mode automatic differentiation over float64 or float32 numpy arrays.
 
 Each operation produces a new :class:`Tensor` that remembers its parents and
 a backward rule.  :func:`backward` replays the recorded graph once in reverse
@@ -57,12 +57,14 @@ class no_grad:
 
 
 class Tensor:
-    """A float64 array plus the bookkeeping needed for reverse-mode autodiff.
+    """A float array plus the bookkeeping needed for reverse-mode autodiff.
 
     Attributes
     ----------
     data:
-        The value, always a ``numpy.ndarray`` of dtype float64.  Treated as
+        The value, a ``numpy.ndarray`` of dtype float32 when given a float32
+        array and float64 for any other input.  The model computes in float32;
+        every op, oracle and gradient check also runs in float64.  Treated as
         immutable once the tensor has entered a graph (optimizers may rewrite
         leaf data between graph lifetimes).
     grad:
@@ -74,7 +76,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_spent")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple["Tensor", ...] = ()
@@ -111,6 +114,16 @@ def _lift(value) -> Tensor:
     if isinstance(value, Tensor):
         return value
     return Tensor(value)
+
+
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Lift both operands; a Python number takes the dtype of the tensor it
+    meets, so a constant never promotes a float32 computation."""
+    if isinstance(a, Tensor) and isinstance(b, (int, float)):
+        b = np.asarray(b, a.data.dtype)
+    elif isinstance(b, Tensor) and isinstance(a, (int, float)):
+        a = np.asarray(a, b.data.dtype)
+    return _lift(a), _lift(b)
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
@@ -182,6 +195,9 @@ def backward(loss: Tensor, ensure: Iterable[Tensor] = ()) -> None:
         for parent, grad in zip(node._parents, parent_grads):
             if grad is None or not parent.requires_grad:
                 continue
+            # a float64 node (say, the loss against float64 ground truth)
+            # hands a float32 parent a float32 gradient
+            grad = grad.astype(parent.data.dtype, copy=False)
             if parent.grad is None:
                 parent.grad = grad
             else:
@@ -196,7 +212,7 @@ def backward(loss: Tensor, ensure: Iterable[Tensor] = ()) -> None:
 
 
 def add(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = _operands(a, b)
     _check_broadcast(a, b, "add")
 
     def bw(g):
@@ -206,7 +222,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = _operands(a, b)
     _check_broadcast(a, b, "sub")
 
     def bw(g):
@@ -216,7 +232,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = _operands(a, b)
     _check_broadcast(a, b, "mul")
 
     def bw(g):
@@ -226,7 +242,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = _operands(a, b)
     _check_broadcast(a, b, "div")
 
     def bw(g):
@@ -277,8 +293,8 @@ def sigmoid(t) -> Tensor:
     out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out_data[~pos] = ex / (1.0 + ex)
-    tiny = np.nextafter(0.0, 1.0)
-    np.clip(out_data, tiny, np.nextafter(1.0, 0.0), out=out_data)
+    zero, one = x.dtype.type(0), x.dtype.type(1)
+    np.clip(out_data, np.nextafter(zero, one), np.nextafter(one, zero), out=out_data)
 
     def bw(g):
         return (g * out_data * (1.0 - out_data),)
@@ -298,8 +314,9 @@ def leaky_relu(t, negative_slope: float = 0.2) -> Tensor:
     def bw(g):
         # the mask times (1 - slope), plus slope, is exactly 1.0 or slope for
         # a slope in [0, 1], without the branches of np.where
-        grad = (t.data >= 0) * (1.0 - negative_slope)
-        grad += negative_slope
+        slope = t.data.dtype.type(negative_slope)
+        grad = (t.data >= 0) * (1 - slope)
+        grad += slope
         grad *= g
         return (grad,)
 

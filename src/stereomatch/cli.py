@@ -33,7 +33,7 @@ from .errors import ConfigError, DataFormatError, ShapeError, StereoMatchError
 from .fileio import atomic_write, load_sample, read_pfm, read_pgm, read_ppm, write_pfm
 from .losses import bilinear_upsample, smooth_l1, total_loss, upsample_disparity
 from .metrics import evaluate, valid_mask_from_gt
-from .model import StereoModel
+from .model import DTYPE, StereoModel
 from .regression import (
     DisparityMap,
     SuperpixelUpsample,
@@ -266,7 +266,7 @@ def _environment() -> dict:
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "threads": {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},
-        "dtype": str(Tensor(0.0).data.dtype),
+        "dtype": np.dtype(DTYPE).name,  # the model's compute dtype
     }
 
 

@@ -20,6 +20,11 @@ from .correlation import (
 from .errors import ConfigError, ShapeError
 from .regression import DisparityMap, SuperpixelUpsample, top2_regression
 
+# The model's compute dtype: parameters, buffers, activations, gradients and
+# Adam state.  The ops, standalone layers, oracles and gradient checks stay
+# float64; checkpoints store float64.
+DTYPE = np.float32
+
 
 @dataclass
 class ModelConfig:
@@ -49,8 +54,9 @@ class StereoModel(nn.Module):
     volume (optional), hourglass aggregation with context fusion, top-2
     regression and superpixel upsampling.
 
-    All parameters are drawn from a single generator seeded by
-    config.seed, so two models built from equal configs are bit-identical.
+    All parameters are drawn in float64 from a single generator seeded by
+    config.seed, then cast to DTYPE, so two models built from equal configs
+    are bit-identical.  The forward casts the images to DTYPE.
     """
 
     def __init__(self, config: ModelConfig):
@@ -70,12 +76,14 @@ class StereoModel(nn.Module):
         self.decoder = Decoder(config.matching.corr_channels, (c8, c16, c32),
                                config.cgf, rng)
         self.upsampler = SuperpixelUpsample(c4, rng)
+        self.cast(DTYPE)
 
     def forward(self, left: Tensor, right: Tensor) -> tuple[DisparityMap, DisparityMap]:
         if left.shape != right.shape:
             raise ShapeError(
                 f"left/right shapes differ: {left.shape} vs {right.shape}"
             )
+        left, right = (Tensor(t.data.astype(DTYPE, copy=False)) for t in (left, right))
         ctx = self.merge(self.backbone(left))
         feat_r = self.merge(self.backbone(right))
         corr = build_correlation(ctx.f4, feat_r.f4, self.config.matching)

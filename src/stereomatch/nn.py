@@ -77,6 +77,18 @@ class Module:
             state[name] = b
         return state
 
+    def cast(self, dtype) -> "Module":
+        """Convert every parameter and buffer, here and in every child, to
+        dtype; the new arrays replace the old ones."""
+        for p in self._params.values():
+            p.data = p.data.astype(dtype)
+        for name, b in self._buffers.items():
+            self._buffers[name] = b.astype(dtype)
+            object.__setattr__(self, name, self._buffers[name])
+        for child in self._children.values():
+            child.cast(dtype)
+        return self
+
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
 

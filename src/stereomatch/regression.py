@@ -50,11 +50,12 @@ def top2_softargmax(cost: Tensor) -> Tensor:
     e2 = np.exp(v2 - v1)
     w1 = 1.0 / (1.0 + e2)
     w2 = e2 / (1.0 + e2)
-    d0 = w1 * i1 + w2 * i2
+    # indices in the cost's dtype: an int64 array would promote float32
+    d0 = w1 * i1.astype(c.dtype) + w2 * i2.astype(c.dtype)
 
     def bw(g):
         gg = g[:, 0]
-        coef = gg * w1 * w2 * (i1 - i2)
+        coef = gg * w1 * w2 * (i1 - i2).astype(c.dtype)
         dc = np.zeros_like(c)
         np.put_along_axis(dc, i1[:, None], coef[:, None], axis=1)
         np.put_along_axis(dc, i2[:, None], -coef[:, None], axis=1)
@@ -82,7 +83,7 @@ def unfold3x3(x: Tensor) -> Tensor:
     )
 
     def bw(g):
-        padded = np.zeros((batch, 1, h + 2, w + 2))
+        padded = np.zeros((batch, 1, h + 2, w + 2), g.dtype)
         for k in range(9):
             dy, dx = divmod(k, 3)
             padded[:, :, dy : dy + h, dx : dx + w] += g[:, k : k + 1]

@@ -209,8 +209,8 @@ _CHECKPOINT_MAGIC = b"STCKPT1\n"
 
 def save_checkpoint(model: StereoModel, path: str) -> None:
     """Parameters and normalization buffers as named little-endian float64
-    arrays, in registration order.  An existing file at `path` is replaced
-    only once the whole checkpoint is written."""
+    arrays, whatever the model's dtype, in registration order.  An existing
+    file at `path` is replaced only once the whole checkpoint is written."""
     arrays = model.state_arrays()
     with atomic_write(path) as f:
         f.write(_CHECKPOINT_MAGIC)
@@ -223,9 +223,10 @@ def save_checkpoint(model: StereoModel, path: str) -> None:
 
 def load_checkpoint(model: StereoModel, path: str) -> None:
     """Restore a checkpoint in place.  Every stored array must match the
-    model's entry of the same name and shape, and vice versa, and nothing may
-    follow the last entry.  The whole file is checked before any array is
-    copied, so a rejected checkpoint leaves the model as it was."""
+    model's entry of the same name and shape, and vice versa, every value
+    must be finite in the model's dtype, and nothing may follow the last
+    entry.  The whole file is checked before any array is copied, so a
+    rejected checkpoint leaves the model as it was."""
     arrays = model.state_arrays()
     loaded = {}
     with open(path, "rb") as f:
@@ -254,7 +255,13 @@ def load_checkpoint(model: StereoModel, path: str) -> None:
             raw = f.read(n * 8)
             if len(raw) != n * 8:
                 raise DataFormatError(f"{path}: truncated data for {name!r}")
-            loaded[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+            with np.errstate(over="ignore"):  # an overflow is rejected just below
+                values = np.frombuffer(raw, dtype="<f8").astype(arrays[name].dtype)
+            if not np.isfinite(values).all():
+                raise DataFormatError(
+                    f"{path}: {name} holds a value that is not finite as {arrays[name].dtype}"
+                )
+            loaded[name] = values.reshape(shape)
         if f.read(1):
             raise DataFormatError(f"{path}: unexpected data after the last entry")
     missing = [n for n in arrays if n not in loaded]

@@ -174,6 +174,35 @@ def test_input_grad_matches_naive(op, xs, ks, stride, padding, rng):
     assert np.count_nonzero(x.grad) == np.count_nonzero(want)
 
 
+@pytest.mark.parametrize("op", ["conv2d", "conv3d"])
+def test_input_needing_no_gradient_skips_the_input_grad(op, rng, monkeypatch):
+    """A conv on a leaf input that needs no gradient (an image) never runs the
+    input-gradient correlation; its kernel and bias gradients equal, bit for
+    bit, those of the run that computes the input gradient."""
+    nsp = 2 if op == "conv2d" else 3
+    x = rng.standard_normal((1, 2) + (6,) * nsp)
+    w = rng.standard_normal((3, 2) + (3,) * nsp)
+    b = rng.standard_normal(3)
+    calls = []
+    real = conv._corr_input_grad
+    monkeypatch.setattr(conv, "_corr_input_grad", lambda *a: calls.append(a) or real(*a))
+
+    def grads(x_needs_grad):
+        tx = ad.Tensor(x, requires_grad=x_needs_grad)
+        tw, tb = ad.Tensor(w, requires_grad=True), ad.Tensor(b, requires_grad=True)
+        out = getattr(ad, op)(tx, tw, tb, 2, 1)
+        g = np.random.default_rng(1).standard_normal(out.shape)
+        ad.backward(ad.tsum(ad.mul(out, ad.Tensor(g))))
+        return tx.grad, tw.grad, tb.grad
+
+    gx, gw, gb = grads(True)
+    assert len(calls) == 1 and gx is not None
+    calls.clear()
+    leaf_gx, leaf_gw, leaf_gb = grads(False)
+    assert calls == [] and leaf_gx is None
+    assert np.array_equal(leaf_gw, gw) and np.array_equal(leaf_gb, gb)
+
+
 def test_conv_transpose3d_allocates_no_dilated_buffer(rng):
     """Peak allocation of one k=4, s=2, p=1 transposed conv stays below a
     quarter of the im2col of a stride-dilated input (the padded output extent

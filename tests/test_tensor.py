@@ -16,6 +16,22 @@ def test_tensor_is_float64():
     assert not t.requires_grad
 
 
+def test_float32_stays_float32():
+    """A float32 array stays float32, a Python number takes the dtype of the
+    tensor it meets, and a float32 leaf under a float64 node gets a float32
+    gradient."""
+    x = np.array([0.5, -1.5, 2.0], dtype=np.float32)
+    t = ad.Tensor(x, requires_grad=True)
+    assert t.data is x
+    for out in (ad.add(t, 1e-30), ad.sub(1.0, t), ad.mul(t, 0.2), ad.div(t, 3),
+                ad.add(ad.mul(t, t), 1e-30)):
+        assert out.data.dtype == np.float32
+    g = np.array([0.1, 0.2, 0.3])
+    ad.backward(ad.tsum(ad.mul(t, ad.Tensor(g))))
+    assert t.grad.dtype == np.float32
+    assert np.array_equal(t.grad, g.astype(np.float32))
+
+
 def test_elementwise_values():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 4))
@@ -104,6 +120,17 @@ def test_sigmoid_saturation_stays_open():
     assert y.data[0] > 0.999
     assert y.data[1] < 1e-6
     assert np.isclose(y.data[2], 0.5)
+
+
+def test_sigmoid_float32_stays_open():
+    """In float32 the clamp bounds are float32's neighbours of 0 and 1, so
+    saturated outputs and their gradients stay nonzero."""
+    t = ad.Tensor(np.array([100.0, -100.0], dtype=np.float32), requires_grad=True)
+    y = ad.sigmoid(t)
+    assert y.data.dtype == np.float32
+    assert 0.0 < y.data[1] < y.data[0] < 1.0
+    ad.backward(ad.tsum(y))
+    assert t.grad.dtype == np.float32 and (t.grad > 0).all()
 
 
 def test_leaky_relu_values():

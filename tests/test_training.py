@@ -1,6 +1,7 @@
 """Adam updates, schedules, checkpoints, and the training loop."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from stereomatch.errors import DataFormatError
 from stereomatch.model import ModelConfig, StereoModel
 from stereomatch.synthetic import StereoSample, synth_stereo
 from stereomatch.training import (
+    _CHECKPOINT_MAGIC,
     Adam,
     TrainParams,
     fit,
@@ -39,6 +41,26 @@ def tiny_model(seed=0, **overrides):
 
 def tiny_sample(seed=0, mode="blobs"):
     return synth_stereo(seed, height=32, width=64, max_disparity=32, mode=mode)
+
+
+def stored_entries(blob):
+    """(name, offset of its data, its float64 values) for each entry of
+    checkpoint bytes, walked by the header lines and the sizes they give."""
+    at = blob.index(b"\n", len(_CHECKPOINT_MAGIC)) + 1
+    while at < len(blob):
+        end = blob.index(b"\n", at) + 1
+        name, *dims = blob[at:end].decode("ascii").split()
+        size = 8 * int(np.prod([int(d) for d in dims]))
+        yield name, end, np.frombuffer(blob[end:end + size], "<f8")
+        at = end + size
+
+
+def poke(path, name, value):
+    """Overwrite the first stored value of checkpoint entry `name`."""
+    blob = bytearray(path.read_bytes())
+    at = next(at for entry, at, _ in stored_entries(bytes(blob)) if entry == name)
+    blob[at:at + 8] = np.array([value], "<f8").tobytes()
+    path.write_bytes(bytes(blob))
 
 
 class _Scalar(nn.Module):
@@ -183,6 +205,46 @@ class TestCheckpoint:
             got = fresh(s.left, s.right)[1].values.data
         assert np.array_equal(got, want)
 
+    def test_float32_state_roundtrips_bitwise_through_f8(self, tmp_path):
+        """The float32 model's state survives a save and load bit for bit;
+        on disk every entry is little-endian float64."""
+        model = tiny_model(seed=1)
+        fit(model, Adam(model), [tiny_sample(2)], steps=2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, str(path))
+        state = model.state_arrays()
+        blob = path.read_bytes()
+        stored = {name: values for name, _, values in stored_entries(blob)}
+        assert list(stored) == list(state)
+        for name, values in stored.items():
+            assert np.array_equal(values, state[name].reshape(-1).astype(np.float64)), name
+
+        fresh = tiny_model(seed=99)
+        load_checkpoint(fresh, str(path))
+        for key, a in fresh.state_arrays().items():
+            assert a.dtype == np.float32, key
+            assert a.tobytes() == state[key].tobytes(), key
+        save_checkpoint(fresh, str(tmp_path / "again.ckpt"))
+        assert (tmp_path / "again.ckpt").read_bytes() == blob
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39])
+    def test_value_not_finite_in_model_dtype_rejected(self, tmp_path, value):
+        """NaN, an infinity, or a finite value past float32's range (which
+        would load as inf) is rejected with the entry's name and without a
+        warning; the model stays as it was."""
+        path = tmp_path / "model.ckpt"
+        source = tiny_model(seed=1)
+        save_checkpoint(source, str(path))
+        name = list(source.state_arrays())[-1]   # every other entry is valid
+        poke(path, name, value)
+        model = tiny_model(seed=2)
+        before = {n: a.tobytes() for n, a in model.state_arrays().items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match=f"{name} holds a value that is not finite"):
+                load_checkpoint(model, str(path))
+        assert {n: a.tobytes() for n, a in model.state_arrays().items()} == before
+
     def test_shape_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(tiny_model(), path)
@@ -283,3 +345,31 @@ def test_rejected_step_leaves_bn_buffers_untouched(capsys):
     with ad.no_grad():
         _, d1 = model(s.left, s.right)
     assert np.isfinite(d1.values.data).all()
+
+
+def test_default_train_step_runs_in_float32(monkeypatch):
+    """In one default-config train step every conv input, kernel and output
+    is float32, and so is every parameter gradient, buffer and Adam moment,
+    and both disparity maps: a stray float64 constant would promote the
+    whole path behind it."""
+    seen = []
+    for op in ("conv2d", "conv3d", "conv_transpose2d", "conv_transpose3d"):
+        def spy(x, w, *rest, _real=getattr(ad, op), _op=op):
+            out = _real(x, w, *rest)
+            seen.append((_op, x.data.dtype, w.data.dtype, out.data.dtype))
+            return out
+        monkeypatch.setattr(ad, op, spy)
+    model = StereoModel(ModelConfig())
+    optim = Adam(model)
+    sample = synth_stereo(0, height=64, width=128, max_disparity=64, mode="slanted_planes")
+    assert train_step(model, optim, sample)[1]
+    assert {op for op, *_ in seen} == {"conv2d", "conv3d", "conv_transpose2d",
+                                       "conv_transpose3d"}
+    assert {dtype for _, *dtypes in seen for dtype in dtypes} == {np.dtype(np.float32)}
+    for name, p in model.named_parameters():
+        assert p.data.dtype == p.grad.dtype == np.float32, name
+        assert optim.m[name].dtype == optim.v[name].dtype == np.float32, name
+    for name, b in model.named_buffers():
+        assert b.dtype == np.float32, name
+    d0, d1 = model(sample.left, sample.right)
+    assert d0.values.data.dtype == d1.values.data.dtype == np.float32
