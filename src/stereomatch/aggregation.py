@@ -117,7 +117,7 @@ class _UpsampleBlock(nn.Module):
         self.refine2 = nn.ConvBnLeaky(out_ch, out_ch, (3, 3, 3), rng)
 
     def forward(self, x, skip):
-        y = ad.leaky_relu(self.up_bn(self.up(x)), nn.LEAKY_SLOPE)
+        y = self.up_bn(self.up(x))
         if y.shape != skip.shape:
             raise ShapeError(f"skip shape {skip.shape} does not match upsampled {y.shape}")
         return self.refine2(self.refine1(ad.add(y, skip)))

@@ -1,50 +1,10 @@
 """Self-contained reverse-mode autodiff engine used by the whole package."""
 
+from . import tensor as _tensor
 from .conv import conv2d, conv3d, conv_transpose2d, conv_transpose3d
 from .gradcheck import grad_check
-from .tensor import (
-    Tensor,
-    absval,
-    add,
-    backward,
-    batch_norm,
-    concat,
-    div,
-    exp,
-    is_grad_enabled,
-    leaky_relu,
-    mul,
-    no_grad,
-    reshape,
-    sigmoid,
-    softmax,
-    sqrt,
-    sub,
-    tsum,
-)
+from .tensor import *  # noqa: F403 -- exactly the names in tensor.__all__
 
-__all__ = [
-    "Tensor",
-    "no_grad",
-    "is_grad_enabled",
-    "backward",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "exp",
-    "sqrt",
-    "absval",
-    "sigmoid",
-    "leaky_relu",
-    "reshape",
-    "concat",
-    "tsum",
-    "softmax",
-    "batch_norm",
-    "conv2d",
-    "conv3d",
-    "conv_transpose2d",
-    "conv_transpose3d",
-    "grad_check",
+__all__ = _tensor.__all__ + [
+    "conv2d", "conv3d", "conv_transpose2d", "conv_transpose3d", "grad_check",
 ]

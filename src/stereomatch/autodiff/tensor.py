@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 _GRAD_ENABLED = True
+# batch norm's running-statistics momentum and variance epsilon, PyTorch's
+# defaults, which the paper's code keeps
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 
 def is_grad_enabled() -> bool:
@@ -312,15 +316,19 @@ def leaky_relu(t, negative_slope: float = 0.2) -> Tensor:
     np.maximum(t.data, out_data, out=out_data)
 
     def bw(g):
-        # the mask times (1 - slope), plus slope, is exactly 1.0 or slope for
-        # a slope in [0, 1], without the branches of np.where
-        slope = t.data.dtype.type(negative_slope)
-        grad = (t.data >= 0) * (1 - slope)
-        grad += slope
-        grad *= g
-        return (grad,)
+        return (_leaky_grad(t.data, t.data.dtype.type(negative_slope), g),)
 
     return _node(out_data, (t,), bw)
+
+
+def _leaky_grad(x: np.ndarray, slope, g: np.ndarray) -> np.ndarray:
+    """g times the leaky derivative at x, 1.0 where x >= 0 and else slope
+    (of x's dtype): the mask times (1 - slope), plus slope, is exactly one of
+    the two for a slope in [0, 1], without the branches of np.where."""
+    grad = (x >= 0) * (1 - slope)
+    grad += slope
+    grad *= g
+    return grad
 
 
 # -- shape manipulation -------------------------------------------------------
@@ -407,16 +415,19 @@ def batch_norm(
     running_var: np.ndarray,
     *,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
+    negative_slope: float,
 ) -> Tensor:
-    """Batch normalization over all axes except axis 1 (channels).
-
-    In training mode the batch statistics normalize `x` and the running
-    buffers are updated in place with ``(1 - momentum) * old + momentum * new``
-    (unbiased variance in the buffer, biased in the normalization, matching
-    the usual convention).  In eval mode the running buffers normalize `x`.
-    """
+    """Batch normalization over all axes except axis 1 (channels), then a
+    leaky ReLU, as one node; slope 1.0 gives plain batch norm.  Eval mode
+    normalizes with the running buffers; training mode with the batch
+    statistics, updating the buffers in place to ``(1 - BN_MOMENTUM) * old +
+    BN_MOMENTUM * new`` (unbiased variance in the buffer, biased in the
+    normalization).  Both compute ``(x - mean) * inv * gamma + beta``, with
+    ``inv = 1 / sqrt(var + BN_EPS)``, in that order, on one new array."""
+    # the backward reads the leaky derivative from the sign of the output,
+    # which tells the two sides apart only for a positive slope
+    if not 0.0 < negative_slope <= 1.0:
+        raise ConfigError(f"batch_norm: negative_slope must be in (0, 1], got {negative_slope}")
     x = _lift(x)
     if x.ndim < 2:
         raise ShapeError(f"batch_norm expects a channel axis, got shape {x.shape}")
@@ -428,48 +439,50 @@ def batch_norm(
         )
     cshape = (1, channels) + (1,) * (x.ndim - 2)
     axes = (0,) + tuple(range(2, x.ndim))
-
-    if not training:
-        # (x - mean) * inv * gamma + beta, in that order, on one new array.
-        # The gamma gradient recomputes the normalized x instead of keeping
-        # it, from a copy of the mean: a train-mode forward may update the
-        # buffer in place before this node's backward runs.
-        mean = running_mean.reshape(cshape).copy()
-        inv = (1.0 / np.sqrt(running_var + eps)).reshape(cshape)
-        out_data = x.data - mean
-        out_data *= inv
-        out_data *= gamma.data.reshape(cshape)
-        out_data += beta.data.reshape(cshape)
-
-        def bw_eval(g):
-            dx = g * gamma.data.reshape(cshape)
-            dx *= inv
-            dgamma = (g * ((x.data - mean) * inv)).sum(axis=axes)
-            return dx, dgamma, g.sum(axis=axes)
-
-        return _node(out_data, (x, gamma, beta), bw_eval)
-
-    mean = x.data.mean(axis=axes)
-    var = x.data.var(axis=axes)
     count = x.data.size // channels
-    if running_mean is not None:
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        unbiased = var * count / (count - 1) if count > 1 else var
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased
 
-    std = np.sqrt(var + eps).reshape(cshape)
-    xhat = (x.data - mean.reshape(cshape)) / std
-    out_data = gamma.data.reshape(cshape) * xhat + beta.data.reshape(cshape)
+    # C order, so that out_data.reshape(-1) below is a view
+    if training:
+        mean = x.data.mean(axis=axes, keepdims=True)
+        out_data = np.subtract(x.data, mean, order="C")
+        var = np.square(out_data).mean(axis=axes)  # bit for bit x.var, one pass fewer
+        for buf, new in ((running_mean, mean.reshape(channels)),
+                         (running_var, var * count / max(count - 1, 1))):
+            buf *= 1.0 - BN_MOMENTUM
+            buf += BN_MOMENTUM * new
+    else:
+        # a copy: a train-mode forward may update the buffer in place before
+        # this node's backward recomputes the normalized x from it
+        mean, var = running_mean.reshape(cshape).copy(), running_var
+        out_data = np.subtract(x.data, mean, order="C")
+    inv = (1.0 / np.sqrt(var + BN_EPS)).reshape(cshape)
+    gamma_c = gamma.data.reshape(cshape)
+    out_data *= inv
+    out_data *= gamma_c
+    out_data += beta.data.reshape(cshape)
+    # max(v, slope * v) in place, in blocks: no full-size temporary
+    slope = out_data.dtype.type(negative_slope)
+    flat = out_data.reshape(-1)
+    tmp = np.empty(min(flat.size, 1 << 16), flat.dtype)
+    for i in range(0, flat.size, 1 << 16):
+        part = flat[i : i + tmp.size]
+        np.maximum(part, np.multiply(part, slope, out=tmp[: part.size]), out=part)
 
     def bw(g):
-        dgamma = (g * xhat).sum(axis=axes)
-        dbeta = g.sum(axis=axes)
-        dxhat = g * gamma.data.reshape(cshape)
-        m1 = dxhat.mean(axis=axes, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=axes, keepdims=True)
-        dx = (dxhat - m1 - xhat * m2) / std
+        dy = _leaky_grad(out_data, slope, g)
+        xhat = x.data - mean  # recomputed: the forward keeps only its output
+        xhat *= inv
+        dx = np.multiply(dy, xhat)
+        dgamma = dx.sum(axis=axes)
+        dbeta = dy.sum(axis=axes)
+        np.multiply(dy, gamma_c, out=dx)
+        dx *= inv
+        if training:
+            # the batch statistics depend on x: subtract their share
+            xhat *= dgamma.reshape(cshape)
+            xhat += dbeta.reshape(cshape)
+            xhat *= gamma_c * inv / count
+            dx -= xhat
         return dx, dgamma, dbeta
 
     return _node(out_data, (x, gamma, beta), bw)

@@ -34,6 +34,7 @@ from .fileio import atomic_write, load_sample, read_pfm, read_pgm, read_ppm, wri
 from .losses import bilinear_upsample, smooth_l1, total_loss, upsample_disparity
 from .metrics import evaluate, valid_mask_from_gt
 from .model import DTYPE, StereoModel
+from .nn import LEAKY_SLOPE
 from .regression import (
     DisparityMap,
     SuperpixelUpsample,
@@ -90,30 +91,36 @@ def gradcheck_suite():
             _probed(lambda t: ad.concat([t, Tensor(y34), t], axis=1)), x34)),
     ]
 
-    bn_x = rng.standard_normal((2, 3, 4, 4))
-    bn_gamma = rng.standard_normal(3) * 0.5 + 1.0
-    bn_beta = rng.standard_normal(3)
-    # own generator, so the draws from rng below do not shift
-    eval_rng = np.random.default_rng(9)
-    bn_mean, bn_var = eval_rng.standard_normal(3), eval_rng.uniform(0.5, 2.0, 3)
+    # each channel's batch is mirrored (x[1] = -x[0]) and kept 0.3 clear of
+    # 0, so with beta = 0 every output, train or eval, keeps clear of the
+    # leaky kink (checked below) and no finite-difference step crosses it
+    bn_rng = np.random.default_rng(9)
+    bn_half = bn_rng.standard_normal((1, 3, 4, 4))
+    bn_half += np.where(bn_half >= 0, 0.3, -0.3)
+    bn_x = np.concatenate([bn_half, -bn_half])
+    bn_gamma = bn_rng.uniform(0.8, 1.2, 3)
+    bn_mean, bn_var = bn_rng.standard_normal(3), bn_rng.uniform(0.5, 2.0, 3)
+    bn_eval_x = bn_x + bn_mean.reshape(1, 3, 1, 1)
 
-    def bn_fn(training):
-        def build(t):
-            mean = np.zeros(3)
-            var = np.ones(3)
-            return ad.batch_norm(t, Tensor(bn_gamma), Tensor(bn_beta), mean, var,
-                                 training=training)
-        return _probed(build)
+    def bn(x, gamma, training, slope=LEAKY_SLOPE):
+        mean, var = (np.zeros(3), np.ones(3)) if training else (bn_mean, bn_var)
+        return ad.batch_norm(x, gamma, Tensor(np.zeros(3)), mean, var,
+                             training=training, negative_slope=slope)
+
+    for training, x in ((True, bn_x), (False, bn_eval_x)):
+        margin = np.abs(bn(Tensor(x), Tensor(bn_gamma), training, slope=1.0).data).min()
+        if margin <= 0.1:
+            raise RuntimeError(f"batch-norm gradcheck input only {margin:.3g} from the kink")
 
     checks += [
-        ("batch_norm_train", lambda: grad_check(bn_fn(True), bn_x)),
-        ("batch_norm_eval", lambda: grad_check(bn_fn(False), bn_x)),
+        ("batch_norm_train", lambda: grad_check(_probed(
+            lambda t: bn(t, Tensor(bn_gamma), True)), bn_x)),
+        ("batch_norm_eval", lambda: grad_check(_probed(
+            lambda t: bn(t, Tensor(bn_gamma), False)), bn_eval_x)),
         ("batch_norm_gamma", lambda: grad_check(_probed(
-            lambda t: ad.batch_norm(Tensor(bn_x), t, Tensor(bn_beta), np.zeros(3),
-                                    np.ones(3), training=True)), bn_gamma)),
+            lambda t: bn(Tensor(bn_x), t, True)), bn_gamma)),
         ("batch_norm_eval_gamma", lambda: grad_check(_probed(
-            lambda t: ad.batch_norm(Tensor(bn_x), t, Tensor(bn_beta), bn_mean,
-                                    bn_var, training=False)), bn_gamma)),
+            lambda t: bn(Tensor(bn_eval_x), t, False)), bn_gamma)),
     ]
 
     cx = rng.standard_normal((1, 2, 6, 7))

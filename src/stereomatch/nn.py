@@ -181,8 +181,9 @@ class Conv(Module):
 
 
 class BatchNorm(Module):
-    """Batch normalization over every axis except the channel axis; works for
-    both 4-D and 5-D activations."""
+    """Batch normalization over every axis except the channel axis, then the
+    model's leaky ReLU, as one graph node; works for both 4-D and 5-D
+    activations."""
 
     def __init__(self, channels: int):
         super().__init__()
@@ -193,7 +194,7 @@ class BatchNorm(Module):
 
     def forward(self, x):
         return ad.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
-                             training=self.training)
+                             training=self.training, negative_slope=LEAKY_SLOPE)
 
 
 class ConvBnLeaky(Module):
@@ -206,4 +207,4 @@ class ConvBnLeaky(Module):
         self.bn = BatchNorm(out_ch)
 
     def forward(self, x):
-        return ad.leaky_relu(self.bn(self.conv(x)), LEAKY_SLOPE)
+        return self.bn(self.conv(x))

@@ -65,8 +65,6 @@ def top2_softargmax(cost: Tensor) -> Tensor:
 
 
 def top2_regression(cost: Tensor) -> DisparityMap:
-    if cost.shape[1] != 1:
-        raise ShapeError(f"regression expects a 1-channel cost volume, got {cost.shape}")
     return DisparityMap(top2_softargmax(cost))
 
 

@@ -36,7 +36,10 @@ def test_train_eval_recurses():
         assert not child.training
         assert not child.bn.training
     seq.train()
-    assert seq.bn.training if hasattr(seq, "bn") else True
+    assert seq.training
+    for child in seq:
+        assert child.training
+        assert child.bn.training
 
 
 def test_zero_grad():

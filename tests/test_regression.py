@@ -79,6 +79,12 @@ class TestTop2:
         assert isinstance(d0, DisparityMap)
         assert d0.values.shape == (1, 1, 2, 2)
 
+    @pytest.mark.parametrize("shape", [(3,), (1, 2, 4, 2, 2), (1, 1, 4, 2)])
+    def test_wrapper_rejects_non_cost_volumes(self, shape):
+        # a 1-D input has no channel axis to read: ShapeError, not IndexError
+        with pytest.raises(ShapeError):
+            top2_regression(ad.Tensor(np.zeros(shape)))
+
     def test_gradcheck(self):
         # seed chosen so every pixel has a clear top-2 margin vs the rest;
         # selection is then locally constant and FD is valid

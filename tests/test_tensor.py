@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from stereomatch import autodiff as ad
+from stereomatch.autodiff.tensor import BN_EPS, BN_MOMENTUM
 from stereomatch.errors import ConfigError, GraphError, ShapeError
+from stereomatch.nn import LEAKY_SLOPE
 
 from reference import softmax_highprec
 
@@ -247,13 +249,16 @@ def test_gradcheck_broadcast_mul():
 
 
 class TestBatchNorm:
+    """Plain batch norm is the fused node at slope 1.0; the model's slope is
+    checked against the composed chain (batch norm at 1.0, then leaky_relu)."""
+
     def test_train_normalizes_batch(self):
         rng = np.random.default_rng(6)
         x = ad.Tensor(rng.standard_normal((2, 3, 5, 5)) * 4.0 + 7.0)
         gamma = ad.Tensor(np.ones(3), requires_grad=True)
         beta = ad.Tensor(np.zeros(3), requires_grad=True)
         rm, rv = np.zeros(3), np.ones(3)
-        y = ad.batch_norm(x, gamma, beta, rm, rv, training=True)
+        y = ad.batch_norm(x, gamma, beta, rm, rv, training=True, negative_slope=1.0)
         got_mean = y.data.mean(axis=(0, 2, 3))
         got_var = y.data.var(axis=(0, 2, 3))
         assert np.allclose(got_mean, 0.0, atol=1e-10)
@@ -265,7 +270,8 @@ class TestBatchNorm:
         gamma = ad.Tensor(np.ones(2), requires_grad=True)
         beta = ad.Tensor(np.zeros(2), requires_grad=True)
         rm, rv = np.zeros(2), np.ones(2)
-        ad.batch_norm(ad.Tensor(x), gamma, beta, rm, rv, training=True, momentum=0.1)
+        ad.batch_norm(ad.Tensor(x), gamma, beta, rm, rv, training=True, negative_slope=1.0)
+        assert BN_MOMENTUM == 0.1
         mu = x.mean(axis=(0, 2, 3))
         n = x.size // 2
         var_unbiased = x.var(axis=(0, 2, 3)) * n / (n - 1)
@@ -277,16 +283,28 @@ class TestBatchNorm:
         gamma = ad.Tensor(np.array([2.0]), requires_grad=True)
         beta = ad.Tensor(np.array([1.0]), requires_grad=True)
         rm, rv = np.array([3.0]), np.array([4.0])
-        y = ad.batch_norm(ad.Tensor(x), gamma, beta, rm, rv, training=False, eps=0.0)
-        assert np.allclose(y.data, 2.0 * (5.0 - 3.0) / 2.0 + 1.0)
+        y = ad.batch_norm(ad.Tensor(x), gamma, beta, rm, rv, training=False,
+                          negative_slope=1.0)
+        assert BN_EPS == 1e-5
+        assert np.allclose(y.data, 2.0 * (5.0 - 3.0) / np.sqrt(4.0 + 1e-5) + 1.0, rtol=1e-15)
+        assert np.array_equal(rm, [3.0]) and np.array_equal(rv, [4.0])
 
     def test_constant_channel_maps_to_beta(self):
         x = np.full((2, 1, 3, 3), 9.0)
         gamma = ad.Tensor(np.array([1.7]), requires_grad=True)
         beta = ad.Tensor(np.array([-0.3]), requires_grad=True)
-        y = ad.batch_norm(ad.Tensor(x), gamma, beta, np.zeros(1), np.ones(1), training=True)
+        y = ad.batch_norm(ad.Tensor(x), gamma, beta, np.zeros(1), np.ones(1), training=True,
+                          negative_slope=1.0)
         assert np.all(np.isfinite(y.data))
         assert np.allclose(y.data, -0.3)
+
+    @pytest.mark.parametrize("slope", [0.0, -0.2, 1.5])
+    def test_slope_outside_zero_one_rejected(self, slope):
+        # at slope 0 the sign of the output no longer tells the sides apart
+        with pytest.raises(ConfigError):
+            ad.batch_norm(ad.Tensor(np.ones((2, 1, 2))), ad.Tensor(np.ones(1)),
+                          ad.Tensor(np.zeros(1)), np.zeros(1), np.ones(1),
+                          training=True, negative_slope=slope)
 
     def test_gradcheck_train_mode(self):
         rng = np.random.default_rng(8)
@@ -297,7 +315,8 @@ class TestBatchNorm:
 
         def wrt_x(t):
             rm, rv = np.zeros(2), np.ones(2)
-            return ad.tsum(ad.mul(ad.batch_norm(t, gamma, beta, rm, rv, training=True), ad.Tensor(w)))
+            y = ad.batch_norm(t, gamma, beta, rm, rv, training=True, negative_slope=1.0)
+            return ad.tsum(ad.mul(y, ad.Tensor(w)))
 
         assert ad.grad_check(wrt_x, x, step=1e-4) <= 1e-4
 
@@ -305,7 +324,8 @@ class TestBatchNorm:
 
         def wrt_gamma(t):
             rm, rv = np.zeros(2), np.ones(2)
-            return ad.tsum(ad.mul(ad.batch_norm(xt, t, beta, rm, rv, training=True), ad.Tensor(w)))
+            y = ad.batch_norm(xt, t, beta, rm, rv, training=True, negative_slope=1.0)
+            return ad.tsum(ad.mul(y, ad.Tensor(w)))
 
         assert ad.grad_check(wrt_gamma, gamma.data.copy(), step=1e-4) <= 1e-4
 
@@ -318,13 +338,15 @@ class TestBatchNorm:
         rm, rv = np.array([0.3, -0.1]), np.array([1.4, 0.9])
 
         def wrt_x(t):
-            return ad.tsum(ad.mul(ad.batch_norm(t, gamma, beta, rm, rv, training=False), ad.Tensor(w)))
+            y = ad.batch_norm(t, gamma, beta, rm, rv, training=False, negative_slope=1.0)
+            return ad.tsum(ad.mul(y, ad.Tensor(w)))
 
         assert ad.grad_check(wrt_x, x) <= 1e-4
 
     def test_eval_is_one_node_bitwise_equal_to_the_composed_chain(self):
-        """Eval mode is one graph node whose value and x, gamma and beta
-        gradients equal those of sub/mul/mul/add on the running statistics."""
+        """Eval mode at slope 1.0 is one graph node whose value and x, gamma
+        and beta gradients equal those of sub/mul/mul/add on the running
+        statistics."""
         rng = np.random.default_rng(12)
         x = rng.standard_normal((2, 3, 4, 5))
         gamma, beta = rng.uniform(0.5, 1.5, 3), rng.standard_normal(3)
@@ -337,7 +359,7 @@ class TestBatchNorm:
             gt = ad.Tensor(gamma, requires_grad=True)
             bt = ad.Tensor(beta, requires_grad=True)
             if fused:
-                y = ad.batch_norm(xt, gt, bt, rm, rv, training=False)
+                y = ad.batch_norm(xt, gt, bt, rm, rv, training=False, negative_slope=1.0)
                 assert y._parents == (xt, gt, bt)
             else:
                 inv = 1.0 / np.sqrt(rv + 1e-5)
@@ -348,3 +370,67 @@ class TestBatchNorm:
 
         for fused, chain in zip(run(True), run(False)):
             assert np.array_equal(fused, chain)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_fused_leaky_equals_batch_norm_then_leaky_relu(self, training):
+        """At the model's slope the fused node matches batch norm at 1.0
+        followed by leaky_relu: bit for bit in eval mode, within 1e-12 in
+        train mode, for the value, the running buffers and the x, gamma and
+        beta gradients.  beta straddles 0, so both sides of the kink occur."""
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((2, 3, 4, 5)) * 2.0 + 0.5
+        gamma, beta = rng.uniform(0.5, 1.5, 3), np.array([-0.4, 0.0, 0.6])
+        probe = ad.Tensor(rng.standard_normal(x.shape))
+        mean0, var0 = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
+
+        def run(fused):
+            xt = ad.Tensor(x, requires_grad=True)
+            gt = ad.Tensor(gamma, requires_grad=True)
+            bt = ad.Tensor(beta, requires_grad=True)
+            rm, rv = mean0.copy(), var0.copy()
+            if fused:
+                y = ad.batch_norm(xt, gt, bt, rm, rv, training=training,
+                                  negative_slope=LEAKY_SLOPE)
+                assert y._parents == (xt, gt, bt)
+            else:
+                y = ad.leaky_relu(ad.batch_norm(xt, gt, bt, rm, rv, training=training,
+                                                negative_slope=1.0), LEAKY_SLOPE)
+            ad.backward(ad.tsum(ad.mul(y, probe)))
+            return y.data, rm, rv, xt.grad, gt.grad, bt.grad
+
+        fused, chain = run(True), run(False)
+        assert (fused[0] < 0).any() and (fused[0] > 0).any()
+        for got, want in zip(fused, chain):
+            if training:
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
+            else:
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_backward_leaves_incoming_gradient_untouched(self, training):
+        """add hands one gradient array to both parents, so a backward that
+        wrote into it would corrupt its sibling's: each of two fused nodes
+        under one add gets the gradients it gets alone."""
+        rng = np.random.default_rng(14)
+        xs = [rng.standard_normal((2, 3, 4, 4)) for _ in range(2)]
+        gamma, beta = rng.uniform(0.5, 1.5, 3), rng.standard_normal(3)
+        probe = ad.Tensor(rng.standard_normal((2, 3, 4, 4)))
+
+        def fused(x):
+            xt = ad.Tensor(x, requires_grad=True)
+            gt = ad.Tensor(gamma, requires_grad=True)
+            bt = ad.Tensor(beta, requires_grad=True)
+            y = ad.batch_norm(xt, gt, bt, np.zeros(3), np.ones(3), training=training,
+                              negative_slope=LEAKY_SLOPE)
+            return y, (xt, gt, bt)
+
+        alone = []
+        for x in xs:
+            y, leaves = fused(x)
+            ad.backward(ad.tsum(ad.mul(y, probe)))
+            alone.append([t.grad for t in leaves])
+        (ya, leaves_a), (yb, leaves_b) = fused(xs[0]), fused(xs[1])
+        ad.backward(ad.tsum(ad.mul(ad.add(ya, yb), probe)))
+        for leaves, want in zip((leaves_a, leaves_b), alone):
+            for t, w in zip(leaves, want):
+                assert np.array_equal(t.grad, w)
