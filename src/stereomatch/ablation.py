@@ -30,7 +30,6 @@ AXES = ("afv", "cgf_position", "detach")
 @dataclass
 class AblationRow:
     name: str
-    config: ModelConfig
     param_count: int
     final_loss: float | None  # None when the run trains zero steps
     metrics: MetricsReport
@@ -155,7 +154,6 @@ def ablate(base: ModelConfig, axis: str, train: TrainParams,
         report = fit(model, Adam(model, train), train_batches, train.steps)
         row = AblationRow(
             name=name,
-            config=cfg,
             param_count=model.param_count(),
             final_loss=report.losses[-1] if report.losses else None,
             metrics=heldout_metrics(model, held),

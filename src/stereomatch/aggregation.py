@@ -131,13 +131,13 @@ class Encoder(nn.Module):
         self.cfg = cfg
         c = base_channels
         plan = [(c, 2 * c), (2 * c, 4 * c), (4 * c, 6 * c)]
-        self.blocks = nn.ModuleList([_DownsampleBlock(i, o, rng) for i, o in plan])
+        self.blocks = [_DownsampleBlock(i, o, rng) for i, o in plan]
         self.fusers = None
         if "encoder" in cfg.positions:
-            self.fusers = nn.ModuleList([
+            self.fusers = [
                 ContextGeometryFusion(out_ch, ctx_ch, FUSION_KERNEL, rng)
                 for (_, out_ch), ctx_ch in zip(plan, ctx_channels)
-            ])
+            ]
 
     def forward(self, volume: Tensor, ctx: FeaturePyramid) -> GeometryPyramid:
         g = volume
@@ -169,11 +169,11 @@ class Decoder(nn.Module):
             # matching-scale context: 1/32, 1/16, 1/8 (same channel pairs as
             # the encoder's fusers, so both placements cost equal parameters)
             c8, c16, c32 = ctx_channels
-            self.fusers = nn.ModuleList([
+            self.fusers = [
                 ContextGeometryFusion(6 * c, c32, FUSION_KERNEL, rng),
                 ContextGeometryFusion(4 * c, c16, FUSION_KERNEL, rng),
                 ContextGeometryFusion(2 * c, c8, FUSION_KERNEL, rng),
-            ])
+            ]
         self.up1 = _UpsampleBlock(6 * c, 4 * c, rng)
         self.up2 = _UpsampleBlock(4 * c, 2 * c, rng)
         self.up3 = _UpsampleBlock(2 * c, c, rng)

@@ -66,14 +66,10 @@ class Backbone(nn.Module):
     def __init__(self, cfg: BackboneConfig, rng: np.random.Generator):
         super().__init__()
         cfg.validate()
-        self.cfg = cfg
         self.stem = nn.ConvBnLeaky(3, cfg.stem_channels, (3, 3), rng, stride=2)
-        stages = nn.ModuleList()
-        in_ch = cfg.stem_channels
-        for out_ch in cfg.channels:
-            stages.append(nn.Sequential(_Block(in_ch, out_ch, rng)))
-            in_ch = out_ch
-        self.stages = stages
+        ins = (cfg.stem_channels,) + cfg.channels[:-1]
+        # the inner one-entry list keeps the `stages.<i>.0.body.*` checkpoint names
+        self.stages = [[_Block(i, o, rng)] for i, o in zip(ins, cfg.channels)]
 
     def forward(self, image: Tensor) -> FeaturePyramid:
         if image.ndim != 4 or image.shape[1] != 3:
@@ -87,8 +83,8 @@ class Backbone(nn.Module):
                 )
         x = self.stem(image)
         maps = []
-        for stage in self.stages:
-            x = stage(x)
+        for (block,) in self.stages:
+            x = block(x)
             maps.append(x)
         return FeaturePyramid(*maps)
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ShapeError
 
 
 class Parameter(Tensor):
@@ -32,7 +31,10 @@ def uniform_fan_in(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int
 
 
 class Module:
-    """Base class with torch-style attribute registration."""
+    """Base class with torch-style attribute registration: an attribute that
+    holds a `Parameter` is a parameter, one that holds a `Module` is a child,
+    and entry i of a list attribute `name` is the child `name.i`, recursively
+    for nested lists.  Tuples are not registered."""
 
     def __init__(self):
         object.__setattr__(self, "_params", {})
@@ -43,9 +45,24 @@ class Module:
     def __setattr__(self, name, value):
         if isinstance(value, Parameter):
             self._params[name] = value
-        elif isinstance(value, Module):
+        elif isinstance(value, (Module, list)):
             self._children[name] = value
         object.__setattr__(self, name, value)
+
+    def named_children(self) -> Iterator[tuple[str, "Module"]]:
+        """Child modules by name, list entries flattened in list order."""
+
+        def walk(name, value):
+            if isinstance(value, list):
+                for i, entry in enumerate(value):
+                    yield from walk(f"{name}.{i}", entry)
+            elif isinstance(value, Module):
+                yield name, value
+            else:
+                raise TypeError(f"{name} holds a {type(value).__name__}, not a Module")
+
+        for name, value in self._children.items():
+            yield from walk(name, value)
 
     def register_buffer(self, name: str, array: np.ndarray) -> None:
         """Track a non-trainable array (e.g. running statistics) as state."""
@@ -58,7 +75,7 @@ class Module:
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
         for name, p in self._params.items():
             yield prefix + name, p
-        for cname, child in self._children.items():
+        for cname, child in self.named_children():
             yield from child.named_parameters(prefix + cname + ".")
 
     def parameters(self) -> list[Parameter]:
@@ -67,7 +84,7 @@ class Module:
     def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
         for name, b in self._buffers.items():
             yield prefix + name, b
-        for cname, child in self._children.items():
+        for cname, child in self.named_children():
             yield from child.named_buffers(prefix + cname + ".")
 
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -85,7 +102,7 @@ class Module:
         for name, b in self._buffers.items():
             self._buffers[name] = b.astype(dtype)
             object.__setattr__(self, name, self._buffers[name])
-        for child in self._children.values():
+        for _, child in self.named_children():
             child.cast(dtype)
         return self
 
@@ -96,7 +113,7 @@ class Module:
 
     def train(self, mode: bool = True) -> "Module":
         object.__setattr__(self, "training", mode)
-        for child in self._children.values():
+        for _, child in self.named_children():
             child.train(mode)
         return self
 
@@ -112,45 +129,6 @@ class Module:
 
     def forward(self, *args, **kwargs):
         raise NotImplementedError
-
-
-class Sequential(Module):
-    def __init__(self, *mods: Module):
-        super().__init__()
-        for i, m in enumerate(mods):
-            setattr(self, str(i), m)
-
-    def __iter__(self):
-        return iter(self._children.values())
-
-    def forward(self, x):
-        for m in self._children.values():
-            x = m(x)
-        return x
-
-
-class ModuleList(Module):
-    def __init__(self, mods=()):
-        super().__init__()
-        self._size = 0
-        for m in mods:
-            self.append(m)
-
-    def append(self, m: Module) -> None:
-        setattr(self, str(self._size), m)
-        object.__setattr__(self, "_size", self._size + 1)
-
-    def __len__(self):
-        return self._size
-
-    def __iter__(self):
-        return (getattr(self, str(i)) for i in range(self._size))
-
-    def __getitem__(self, i: int) -> Module:
-        return getattr(self, str(i))
-
-    def forward(self, *args, **kwargs):
-        raise ShapeError("ModuleList is a container; call its entries")
 
 
 # negative slope of every leaky ReLU in the model

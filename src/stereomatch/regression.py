@@ -127,11 +127,12 @@ class SuperpixelUpsample(nn.Module):
     the full-resolution disparity is the convex combination scaled by 4."""
 
     SCALE = 4
+    HIDDEN = 32  # channels between the two convs
 
-    def __init__(self, ctx_channels: int, rng: np.random.Generator, hidden: int = 32):
+    def __init__(self, ctx_channels: int, rng: np.random.Generator):
         super().__init__()
-        self.conv1 = nn.Conv(ctx_channels, hidden, (3, 3), rng)
-        self.conv2 = nn.Conv(hidden, 9 * self.SCALE * self.SCALE, (3, 3), rng)
+        self.conv1 = nn.Conv(ctx_channels, self.HIDDEN, (3, 3), rng)
+        self.conv2 = nn.Conv(self.HIDDEN, 9 * self.SCALE * self.SCALE, (3, 3), rng)
 
     def forward(self, d0: DisparityMap, ctx_f4: Tensor) -> DisparityMap:
         values = d0.values

@@ -53,6 +53,19 @@ class TrainParams:
             value = getattr(self, key)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"train.{key} must be finite and >= 0, got {value!r}")
+        # Adam moves a coordinate by at most ~3.2 lr per step (Kingma & Ba,
+        # arXiv:1412.6980, sec. 2.1), so a peak rate of 1 keeps every step a
+        # few units.  The multiply loop overflows to inf where ** would raise;
+        # an inf growth is rejected even at lr = 0, where `Adam.current_lr`
+        # would overflow
+        growth = 1.0
+        for _ in self.lr_decay_steps:
+            growth *= max(1.0, self.lr_decay_factor)
+        if math.isinf(growth) or self.lr * growth > 1.0:
+            raise ConfigError(
+                f"peak learning rate train.lr * max(1, train.lr_decay_factor)^"
+                f"{len(self.lr_decay_steps)} = {self.lr:g} * {growth:g} must be <= 1"
+            )
         return self
 
 

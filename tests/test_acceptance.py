@@ -20,7 +20,7 @@ from reference import (
 from stereomatch.ablation import AXES, config_rows, verify_detach
 from stereomatch.aggregation import ContextGeometryFusion
 from stereomatch.backbone import BackboneConfig
-from stereomatch.cli import gradcheck_suite, main
+from stereomatch.cli import main
 from stereomatch.correlation import (
     EPSILON,
     AttentionFeatureVolume,
@@ -28,6 +28,7 @@ from stereomatch.correlation import (
     build_correlation,
 )
 from stereomatch.fileio import read_pfm, save_sample, write_pfm
+from stereomatch.gradchecks import gradcheck_suite
 from stereomatch.metrics import evaluate
 from stereomatch.model import ModelConfig, StereoModel
 from stereomatch.regression import top2_regression, top2_softargmax

@@ -108,7 +108,7 @@ def test_f4_gradient_depends_on_coarsest_stage():
     image = ad.Tensor(np.random.default_rng(9).random((1, 3, 32, 64)))
     refined = merge(net(image))
     ad.backward(ad.tsum(ad.mul(refined.f4, refined.f4)))
-    stage32 = net.stages[3]
+    stage32 = net.stages[3][0]
     grads = [p.grad for _, p in stage32.named_parameters()]
     assert all(g is not None for g in grads)
     assert any(np.any(g != 0.0) for g in grads)

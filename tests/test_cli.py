@@ -149,6 +149,34 @@ def test_infer_malformed_input_exits_2(tmp_path, capsys, target, blob, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("case", ["checkpoint-dir", "config-dir", "left-dir", "gt-dir",
+                                  "eval-dataset-file", "out-is-file", "config-not-utf8"])
+def test_path_of_the_wrong_kind_exits_2(tmp_path, capsys, case):
+    cfg = write_cfg(tmp_path)
+    bundle = make_bundle(tmp_path, "s0", seed=19)
+    left, right = str(bundle / "left.ppm"), str(bundle / "right.ppm")
+    a_dir, a_file = str(bundle), str(bundle / "disp.pfm")
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"seed = 3\n# caf\xe9\n")
+    out = str(tmp_path / "out")
+    argv, named = {
+        "checkpoint-dir": (["infer", left, right, "--checkpoint", a_dir], a_dir),
+        "config-dir": (["infer", left, right, "--config", a_dir], a_dir),
+        "left-dir": (["infer", a_dir, right], a_dir),
+        "gt-dir": (["infer", left, right, "--gt", a_dir], a_dir),
+        "eval-dataset-file": (["eval", a_file], a_file),
+        "out-is-file": (["infer", left, right, "--out", a_file], a_file),
+        "config-not-utf8": (["infer", left, right, "--config", str(latin1)], str(latin1)),
+    }[case]
+    if "--config" not in argv:
+        argv += ["--config", cfg]
+    if "--out" not in argv:
+        argv += ["--out", out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, text="bogus_knob = 1\n")
     rc = main(["gradcheck", "--config", cfg])
@@ -342,7 +370,7 @@ def test_ablate_zero_steps_reports_no_loss(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["lr", "lr_decay_factor"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-3", "1e37"])
 def test_train_rejects_non_finite_or_negative_lr(tmp_path, capsys, key, value):
     cfg = write_cfg(tmp_path, text=TINY_CFG + f"train.{key} = {value}\n")
     out = tmp_path / "run"

@@ -66,8 +66,8 @@ def test_image_readers_raise_only_data_format_error(read, blob):
 def test_checkpoint_loader_raises_only_data_format_error(tmp_path):
     rng = np.random.default_rng(0)
     # tiny arrays, so entry headers make up a large share of the file
-    model = nn.Sequential(nn.ConvBnLeaky(1, 2, (1, 1), rng),
-                          nn.Conv(2, 1, (1, 1, 1), rng))
+    model = nn.Module()
+    model.layers = [nn.ConvBnLeaky(1, 2, (1, 1), rng), nn.Conv(2, 1, (1, 1, 1), rng)]
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, str(path))
     blob = path.read_bytes()

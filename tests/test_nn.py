@@ -26,20 +26,31 @@ def test_init_bounds_and_determinism():
     assert np.abs(w1).max() > 0.5 * bound  # actually fills the range
 
 
+class _Holder(nn.Module):
+    """A module whose children sit in a plain list and a nested list."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.head = nn.ConvBnLeaky(1, 2, (3, 3), rng)
+        self.flat = [nn.Conv(2, 2, (1, 1), rng) for _ in range(2)]
+        self.nested = [[nn.ConvBnLeaky(2, 2, (1, 1), rng)], []]
+        self.padding = (nn.Conv(2, 2, (1, 1), rng),)  # tuples are not registered
+
+
 def test_train_eval_recurses():
-    rng = np.random.default_rng(0)
-    seq = nn.Sequential(nn.ConvBnLeaky(1, 2, (3, 3), rng), nn.ConvBnLeaky(2, 2, (3, 3), rng))
-    assert seq.training
-    seq.eval()
-    assert not seq.training
-    for child in seq:
+    holder = _Holder(np.random.default_rng(0))
+    blocks = [holder.head, *holder.flat, holder.nested[0][0]]
+    assert holder.training
+    holder.eval()
+    assert not holder.training
+    for child in blocks:
         assert not child.training
-        assert not child.bn.training
-    seq.train()
-    assert seq.training
-    for child in seq:
+    assert not holder.head.bn.training and not holder.nested[0][0].bn.training
+    holder.train()
+    assert holder.training
+    for child in blocks:
         assert child.training
-        assert child.bn.training
+    assert holder.head.bn.training and holder.nested[0][0].bn.training
 
 
 def test_zero_grad():
@@ -104,12 +115,26 @@ def test_state_arrays_roundtrip_identity():
 
 def test_module_list():
     rng = np.random.default_rng(6)
-    ml = nn.ModuleList([nn.Conv(1, 1, (1, 1), rng) for _ in range(3)])
-    assert len(ml) == 3
-    assert sum(1 for _ in ml.named_parameters()) == 6
-    assert isinstance(ml[2], nn.Conv)
-    with pytest.raises(Exception):
-        ml(ad.Tensor(np.zeros((1, 1, 2, 2))))
+    holder = _Holder(rng)
+    assert [n for n, _ in holder.named_children()] == [
+        "head", "flat.0", "flat.1", "nested.0.0",
+    ]
+    assert [n for n, _ in holder.named_parameters()] == [
+        "head.conv.weight", "head.bn.gamma", "head.bn.beta",
+        "flat.0.weight", "flat.0.bias", "flat.1.weight", "flat.1.bias",
+        "nested.0.0.conv.weight", "nested.0.0.bn.gamma", "nested.0.0.bn.beta",
+    ]
+    assert [n for n, _ in holder.named_buffers()] == [
+        "head.bn.running_mean", "head.bn.running_var",
+        "nested.0.0.bn.running_mean", "nested.0.0.bn.running_var",
+    ]
+    assert holder.param_count() == (2 * 9 + 2 + 2) + 2 * (4 + 2) + (4 + 2 + 2)
+    # an entry appended after assignment is registered too
+    holder.flat.append(nn.Conv(2, 2, (1, 1), rng))
+    assert "flat.2.weight" in holder.state_arrays()
+    holder.flat.append(3)
+    with pytest.raises(TypeError, match="flat.3"):
+        holder.param_count()
 
 
 @pytest.mark.parametrize("op", ["conv2d", "conv3d", "conv_transpose2d", "conv_transpose3d"])

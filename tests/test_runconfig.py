@@ -89,6 +89,12 @@ def test_validation_still_applies():
         load_run_config(overrides={"seed": "-1"})
     with pytest.raises(ConfigError, match="train.data_seed must be >= 0"):
         load_run_config("train.data_seed=-5\n")
+    # peak learning rate: at most 1, and no overflowing decay even at lr = 0
+    assert load_run_config("train.lr=1\ntrain.lr_decay_factor=1\n").train.lr == 1.0
+    with pytest.raises(ConfigError, match="train.lr_decay_factor"):
+        load_run_config("train.lr=0.5\ntrain.lr_decay_factor=3\n")
+    with pytest.raises(ConfigError, match="train.lr_decay_factor"):
+        load_run_config("train.lr=0\ntrain.lr_decay_steps=1,2\ntrain.lr_decay_factor=1e200\n")
 
 
 def test_serialization_roundtrip():
