@@ -1,27 +1,42 @@
 """Convolution primitives (2-D and 3-D) and their transposed counterparts.
 
-Everything runs on one stride-1 correlation lowered to GEMMs on views
-(kn2row / flat shift, no im2col): on the zero-padded grid flattened row-major,
-each kernel tap reads one contiguous run, so with the last axis's taps
-stacked once, each remaining tap is one GEMM accumulated on the output grid.
-A strided correlation is the sum over stride phases of stride-1 ones, each of
-the phase-subsampled padded input with that phase's sub-kernel; the kernel
-gradient is the same loop with the cotangent on the output grid.  The
-input-gradient routine is the exact adjoint of the forward map, also per
-stride phase: one stride-1 correlation of the cotangent with that phase's
-channel-swapped, spatially-flipped sub-kernel, padded per side so that it
-computes only the phase's positions inside the input, and written straight to
-every stride-th input position, so no multiply-add hits a structural zero and
-nothing is cropped.  The transposed convolution *is* that adjoint applied as a
-forward op.  Sharing one code path guarantees the inner-product identity
-``<conv(x), y> == <x, conv_transpose(y)>`` up to roundoff.
+Everything runs on three kernels of one strided correlation: its forward, its
+kernel gradient and its input gradient (the exact adjoint of the forward).
+The transposed convolution *is* that adjoint applied as a forward op, so the
+inner-product identity ``<conv(x), y> == <x, conv_transpose(y)>`` holds up to
+roundoff.  Each kernel call picks one of two lowerings to GEMMs by the size of
+its column matrix, ``B·Ci·∏K·∏O`` elements:
+
+* up to ``_COLUMNS`` elements (small maps, many channels), im2col: the columns
+  are gathered in one copy from a window view of the zero-padded input at the
+  conv's own stride.  The forward is one GEMM with the kernel as a free
+  [Co, Ci·∏K] view, the kernel gradient one GEMM ``g·colsᵀ`` with the batch
+  folded in, and a strided input gradient ``Wᵀ·g`` followed by one strided
+  add per tap into the padded input grid and a crop (col2im).  A stride-1
+  input gradient is a stride-1 correlation of g with the flipped kernel, so
+  it runs as that forward and gathers too: its one copy beats col2im's
+  per-tap adds, which run along the output's short last axis.
+* above it (large maps, few channels), kn2row / flat shift, with no im2col
+  buffer: on the zero-padded grid flattened row-major, each kernel tap reads
+  one contiguous run, so with the last axis's taps stacked once, each
+  remaining tap is one GEMM accumulated on the output grid.  A strided
+  correlation is the sum over stride phases of stride-1 ones, each of the
+  phase-subsampled padded input with that phase's sub-kernel; the kernel
+  gradient is the same loop with the cotangent on the output grid.  The input
+  gradient is also per stride phase: one stride-1 correlation of the
+  cotangent with that phase's channel-swapped, spatially-flipped sub-kernel,
+  padded per side so that it computes only the phase's positions inside the
+  input, and written straight to every stride-th input position, so no
+  multiply-add hits a structural zero and nothing is cropped.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import prod
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import ShapeError
 from .tensor import Tensor, _lift, _node
@@ -36,6 +51,10 @@ __all__ = [
 # GEMM columns per block: every tap runs on one block before the next, so the
 # block's output and products stay in cache while they are summed.
 _BLOCK = 4096
+# Column-matrix elements (B·Ci·∏K·∏O) up to which a kernel call gathers its
+# columns and runs one GEMM: 2 MiB in float32.  Past it the gather stops
+# paying for itself, and larger calls take the kn2row lowering.
+_COLUMNS = 1 << 19
 
 
 def _norm_tuple(value, n: int, name: str) -> tuple[int, ...]:
@@ -45,6 +64,44 @@ def _norm_tuple(value, n: int, name: str) -> tuple[int, ...]:
     if len(value) != n:
         raise ShapeError(f"{name} must have {n} entries, got {value}")
     return value
+
+
+def _out_spatial(spatial, kshape, stride, pads) -> tuple[int, ...]:
+    """Output extents of a strided correlation over the padded spatial axes."""
+    osp = []
+    for ax, (n, k, s, (lo, hi)) in enumerate(zip(spatial, kshape, stride, pads)):
+        if n + lo + hi < k:
+            raise ShapeError(
+                f"spatial axis {ax}: padded extent {n + lo + hi} is smaller "
+                f"than kernel extent {k}"
+            )
+        osp.append((n + lo + hi - k) // s + 1)
+    return tuple(osp)
+
+
+def _small(b, c, kshape, osp) -> bool:
+    """Whether a call's column matrix, B·C·∏K·∏O elements, is within the budget."""
+    return b * c * prod(kshape) * prod(osp) <= _COLUMNS
+
+
+def _windows(x, kshape, stride, pads, osp):
+    """Read-only view [B,C,*K,*O] of x [B,C,*S] zero-padded by pads (a
+    negative side drops entries): entry (b, c, k, o) is padded position
+    o·s + k.  Copying it is the im2col gather."""
+    keep = (slice(None), slice(None))
+    x = x[keep + tuple(slice(max(0, -lo), n + min(0, hi)) for n, (lo, hi) in zip(x.shape[2:], pads))]
+    lo, hi = [max(0, a) for a, _ in pads], [max(0, b) for _, b in pads]
+    if any(lo) or any(hi):
+        padded = np.zeros(x.shape[:2] + tuple(a + n + b for a, n, b in zip(lo, x.shape[2:], hi)), x.dtype)
+        padded[keep + tuple(slice(a, a + n) for a, n in zip(lo, x.shape[2:]))] = x
+        x = padded
+    spatial = x.strides[2:]
+    return as_strided(
+        x,
+        x.shape[:2] + tuple(kshape) + tuple(osp),
+        x.strides[:2] + spatial + tuple(q * s for q, s in zip(spatial, stride)),
+        writeable=False,
+    )
 
 
 def _lowering(x, kshape, stride, pads):
@@ -69,14 +126,7 @@ def _lowering(x, kshape, stride, pads):
     generator of (kernel index of a phase's taps, [(leading tap, view)]) that
     builds each phase's stack as it is reached.
     """
-    osp = []
-    for ax, (n, k, s, (lo, hi)) in enumerate(zip(x.shape[2:], kshape, stride, pads)):
-        if n + lo + hi < k:
-            raise ShapeError(
-                f"spatial axis {ax}: padded extent {n + lo + hi} is smaller "
-                f"than kernel extent {k}"
-            )
-        osp.append((n + lo + hi - k) // s + 1)
+    osp = _out_spatial(x.shape[2:], kshape, stride, pads)
     grid = tuple(o + (k - 1) // s for o, k, s in zip(osp, kshape, stride))
     size = int(np.prod(grid))
     pitch = [int(q) for q in np.cumprod((1,) + grid[:0:-1])[::-1]]
@@ -116,7 +166,12 @@ def _lowering(x, kshape, stride, pads):
 
 def _corr_forward(x, w, stride, pads) -> np.ndarray:
     """Plain strided correlation of x [B,Ci,*S] with w [Co,Ci,*K] -> [B,Co,*O],
-    returned as a view of the output grid."""
+    on the kn2row path returned as a view of the output grid."""
+    b, c = x.shape[:2]
+    osp = _out_spatial(x.shape[2:], w.shape[2:], stride, pads)
+    if _small(b, c, w.shape[2:], osp):
+        cols = _windows(x, w.shape[2:], stride, pads, osp).reshape(b, -1, prod(osp))
+        return (w.reshape(len(w), -1) @ cols).reshape((b, len(w)) + osp)
     ogrid, valid, span, phases = _lowering(x, w.shape[2:], stride, pads)
     acc = np.zeros(x.shape[:1] + w.shape[:1] + ogrid, np.result_type(x, w))
     flat = acc.reshape(acc.shape[:2] + (-1,))[:, :, :span]
@@ -133,8 +188,17 @@ def _corr_forward(x, w, stride, pads) -> np.ndarray:
 
 
 def _corr_kernel_grad(x, g, stride, pads, kshape) -> np.ndarray:
-    """Gradient of the correlation above with respect to the kernel: the same
-    loop with g embedded on the output grid."""
+    """Gradient of the correlation above with respect to the kernel: one GEMM
+    of g with the gathered columns, or the kn2row loop with g embedded on
+    the output grid."""
+    b, c, nsp = *x.shape[:2], len(kshape)
+    if _small(b, c, kshape, g.shape[2:]):
+        # columns ordered [Ci,*K,B,*O]: the batch folds into the GEMM's inner axis
+        cols = _windows(x, kshape, stride, pads, g.shape[2:]).transpose(
+            (1, *range(2, 2 + nsp), 0, *range(2 + nsp, 2 + 2 * nsp))
+        ).reshape(c * prod(kshape), -1)
+        gm = g.swapaxes(0, 1).reshape(g.shape[1], -1)
+        return (gm @ cols.T).reshape(g.shape[1:2] + (c,) + tuple(kshape))
     ogrid, valid, span, phases = _lowering(x, kshape, stride, pads)
     gg = np.zeros(g.shape[:2] + ogrid, np.result_type(x, g))
     gg[valid] = g
@@ -156,7 +220,11 @@ def _corr_kernel_grad(x, g, stride, pads, kshape) -> np.ndarray:
 def _corr_input_grad(g, w, stride, padding, in_spatial) -> np.ndarray:
     """Adjoint of the correlation: scatter g [B,Co,*O] back to [B,Ci,*S].
 
-    Polyphase: kernel taps r, r+s, r+2s, ... of an axis only reach padded
+    A strided call whose columns fit the budget is col2im: the columns Wᵀ·g,
+    each tap's added at every stride-th position of the padded input grid
+    from the tap on, then the crop to the input.  Any other call is
+    polyphase, and a stride-1 call is its one phase, whose correlation may
+    gather.  Kernel taps r, r+s, r+2s, ... of an axis only reach padded
     input positions r (mod s), so each stride phase r is one stride-1 full
     correlation of g with its flipped, channel-swapped sub-kernel, whose entry
     j lands on padded position r + s*j.  Per axis, the phase's correlation is
@@ -166,9 +234,21 @@ def _corr_input_grad(g, w, stride, padding, in_spatial) -> np.ndarray:
     input ends before the full correlation does).  Each result is written
     straight to its input positions; a tail that no tap reaches stays zero.
     """
-    nsp = len(in_spatial)
-    out = np.zeros(g.shape[:1] + w.shape[1:2] + tuple(in_spatial), np.result_type(g, w))
+    nsp, (b, co), kshape = len(in_spatial), g.shape[:2], w.shape[2:]
     keep, spatial = (slice(None), slice(None)), tuple(range(2, 2 + nsp))
+    if max(stride) > 1 and _small(b, w.shape[1], kshape, g.shape[2:]):
+        cols = w.reshape(co, -1).T @ g.reshape(b, co, -1)
+        cols = cols.reshape((b, w.shape[1]) + kshape + g.shape[2:])
+        grid = np.zeros(
+            (b, w.shape[1]) + tuple(n + 2 * p for n, p in zip(in_spatial, padding)), cols.dtype
+        )
+        for tap in np.ndindex(*kshape):
+            at = tuple(slice(t, t + s * (o - 1) + 1, s) for t, s, o in zip(tap, stride, g.shape[2:]))
+            grid[keep + at] += cols[keep + tap]
+        return np.ascontiguousarray(
+            grid[keep + tuple(slice(p, p + n) for p, n in zip(padding, in_spatial))]
+        )
+    out = np.zeros(g.shape[:1] + w.shape[1:2] + tuple(in_spatial), np.result_type(g, w))
     for phase in np.ndindex(*(min(s, k) for s, k in zip(stride, w.shape[2:]))):
         pads, at = [], []
         for r, s, p, n, o, k in zip(phase, stride, padding, in_spatial, g.shape[2:], w.shape[2:]):
@@ -198,6 +278,8 @@ def _conv(x, w, bias, stride, padding, nsp, op, transpose) -> Tensor:
     padding = _norm_tuple(padding, nsp, f"{op} padding")
     if any(s < 1 for s in stride):
         raise ShapeError(f"{op}: stride must be positive, got {stride}")
+    if any(p < 0 for p in padding):
+        raise ShapeError(f"{op}: padding must be non-negative, got {padding}")
     cin, cout = (w.shape[0], w.shape[1]) if transpose else (w.shape[1], w.shape[0])
     if x.shape[1] != cin:
         raise ShapeError(

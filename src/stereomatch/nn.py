@@ -43,6 +43,12 @@ class Module:
         object.__setattr__(self, "training", True)
 
     def __setattr__(self, name, value):
+        # a reassigned name leaves the registry that no longer holds its kind;
+        # one reassigned within its kind keeps its place in the state order
+        if not isinstance(value, Parameter):
+            self._params.pop(name, None)
+        if not isinstance(value, (Module, list)):
+            self._children.pop(name, None)
         if isinstance(value, Parameter):
             self._params[name] = value
         elif isinstance(value, (Module, list)):

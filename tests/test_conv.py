@@ -1,6 +1,7 @@
 """Convolution primitives against scalar-loop oracles, plus adjoint identity."""
 
 import tracemalloc
+from math import prod
 
 import numpy as np
 import pytest
@@ -25,6 +26,21 @@ def rng():
     return np.random.default_rng(20)
 
 
+@pytest.fixture
+def lowerings(monkeypatch):
+    """Iterate ``lowerings()`` to run a case once per lowering: first with the
+    column budget at 0, so every kernel call takes kn2row, then above every
+    test shape, so every call gathers its columns.  Each step yields the
+    lowering's name."""
+
+    def each():
+        for name, budget in (("kn2row", 0), ("gather", 1 << 40)):
+            monkeypatch.setattr(conv, "_COLUMNS", budget)
+            yield name
+
+    return each
+
+
 @pytest.mark.parametrize(
     "shape,kshape,stride,padding",
     [
@@ -36,14 +52,15 @@ def rng():
         ((1, 1, 6, 6), (1, 1, 3, 3), (3, 2), (2, 1)),
     ],
 )
-def test_conv2d_matches_naive(shape, kshape, stride, padding, rng):
+def test_conv2d_matches_naive(shape, kshape, stride, padding, rng, lowerings):
     x = rng.standard_normal(shape)
     w = rng.standard_normal(kshape)
     b = rng.standard_normal(kshape[0])
-    got = ad.conv2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), stride, padding)
     want = conv2d_naive(x, w, b, stride, padding)
-    assert got.shape == want.shape
-    assert np.allclose(got.data, want, atol=1e-12)
+    for lowering in lowerings():
+        got = ad.conv2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), stride, padding)
+        assert got.shape == want.shape
+        assert np.allclose(got.data, want, atol=1e-12), lowering
 
 
 def test_conv2d_output_shape_formula():
@@ -63,14 +80,15 @@ def test_conv2d_output_shape_formula():
         ((1, 2, 4, 5, 5), (2, 2, 3, 3, 3), (1, 2, 2), (1, 1, 1)),
     ],
 )
-def test_conv3d_matches_naive(shape, kshape, stride, padding, rng):
+def test_conv3d_matches_naive(shape, kshape, stride, padding, rng, lowerings):
     x = rng.standard_normal(shape)
     w = rng.standard_normal(kshape)
     b = rng.standard_normal(kshape[0])
-    got = ad.conv3d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), stride, padding)
     want = conv3d_naive(x, w, b, stride, padding)
-    assert got.shape == want.shape
-    assert np.allclose(got.data, want, atol=1e-12)
+    for lowering in lowerings():
+        got = ad.conv3d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), stride, padding)
+        assert got.shape == want.shape
+        assert np.allclose(got.data, want, atol=1e-12), lowering
 
 
 def test_conv_rejects_bad_shapes():
@@ -98,53 +116,58 @@ def test_conv_rejects_bad_shapes():
         ((1, 2, 6, 6), (2, 3, 3, 3), (1, 1), (3, 3)),  # padding >= kernel: starts inside x
     ],
 )
-def test_conv_transpose2d_matches_naive(shape, kshape, stride, padding, rng):
+def test_conv_transpose2d_matches_naive(shape, kshape, stride, padding, rng, lowerings):
     x = rng.standard_normal(shape)
     w = rng.standard_normal(kshape)
     b = rng.standard_normal(kshape[1])
-    got = ad.conv_transpose2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), stride, padding)
     want = conv_transpose2d_naive(x, w, b, stride, padding)
-    assert got.shape == want.shape
-    assert np.allclose(got.data, want, atol=1e-12)
+    for lowering in lowerings():
+        got = ad.conv_transpose2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), stride, padding)
+        assert got.shape == want.shape
+        assert np.allclose(got.data, want, atol=1e-12), lowering
 
 
-def test_conv_transpose3d_matches_naive(rng):
+def test_conv_transpose3d_matches_naive(rng, lowerings):
     x = rng.standard_normal((1, 2, 2, 3, 3))
     w = rng.standard_normal((2, 2, 4, 4, 4))
     b = rng.standard_normal(2)
-    got = ad.conv_transpose3d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), (2, 2, 2), (1, 1, 1))
     want = conv_transpose3d_naive(x, w, b, (2, 2, 2), (1, 1, 1))
-    assert got.shape == (1, 2, 4, 6, 6)
-    assert np.allclose(got.data, want, atol=1e-12)
+    for lowering in lowerings():
+        got = ad.conv_transpose3d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), (2, 2, 2), (1, 1, 1))
+        assert got.shape == (1, 2, 4, 6, 6)
+        assert np.allclose(got.data, want, atol=1e-12), lowering
 
 
-def test_conv_transpose3d_k3_s2_matches_naive(rng):
+def test_conv_transpose3d_k3_s2_matches_naive(rng, lowerings):
     """The adjoint of the encoder's k=3, s=2, p=1 downsample: phases of 2 and
     1 taps per axis."""
     x = rng.standard_normal((1, 2, 3, 4, 4))
     w = rng.standard_normal((2, 3, 3, 3, 3))
     b = rng.standard_normal(3)
-    got = ad.conv_transpose3d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), 2, 1)
     want = conv_transpose3d_naive(x, w, b, (2, 2, 2), (1, 1, 1))
-    assert got.shape == (1, 3, 5, 7, 7)
-    assert np.allclose(got.data, want, atol=1e-12)
+    for lowering in lowerings():
+        got = ad.conv_transpose3d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), 2, 1)
+        assert got.shape == (1, 3, 5, 7, 7)
+        assert np.allclose(got.data, want, atol=1e-12), lowering
 
 
-def test_conv2d_input_grad_leaves_unreached_input_zero(rng):
+def test_conv2d_input_grad_leaves_unreached_input_zero(rng, lowerings):
     """7x9 input, k=4, s=2: no window reaches the last row or column, so
     their input gradient is exactly zero; the rest is the scattered
     cotangent."""
-    x = ad.Tensor(rng.standard_normal((1, 2, 7, 9)), requires_grad=True)
+    xd = rng.standard_normal((1, 2, 7, 9))
     w = rng.standard_normal((3, 2, 4, 4))
-    out = ad.conv2d(x, ad.Tensor(w), None, 2, 0)
-    g = rng.standard_normal(out.shape)
-    ad.backward(ad.tsum(ad.mul(out, ad.Tensor(g))))
-    want = np.zeros(x.shape)
+    g = rng.standard_normal((1, 3, 2, 3))
+    want = np.zeros(xd.shape)
     want[:, :, :6, :8] = conv_transpose2d_naive(g, w, None, (2, 2), (0, 0))
-    assert np.allclose(x.grad, want, atol=1e-12)
-    assert not x.grad[:, :, 6:, :].any() and not x.grad[:, :, :, 8:].any()
-    lhs, rhs = float((out.data * g).sum()), float((x.data * x.grad).sum())
-    assert abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0) <= 1e-10
+    for lowering in lowerings():
+        x = ad.Tensor(xd, requires_grad=True)
+        out = ad.conv2d(x, ad.Tensor(w), None, 2, 0)
+        ad.backward(ad.tsum(ad.mul(out, ad.Tensor(g))))
+        assert np.allclose(x.grad, want, atol=1e-12), lowering
+        assert not x.grad[:, :, 6:, :].any() and not x.grad[:, :, :, 8:].any()
+        lhs, rhs = float((out.data * g).sum()), float((x.data * x.grad).sum())
+        assert abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -155,23 +178,29 @@ def test_conv2d_input_grad_leaves_unreached_input_zero(rng):
         ("conv2d", (1, 2, 5, 6), (2, 2, 3, 3), (1, 1), (3, 4)),  # padding >= kernel
         ("conv3d", (1, 2, 5, 8, 7), (2, 2, 3, 3, 3), (1, 3, 2), (2, 1, 3)),  # uneven strides
         ("conv3d", (1, 2, 8, 8, 8), (2, 2, 3, 3, 3), (2, 2, 2), (0, 0, 0)),  # tail in 3-D
+        ("conv2d", (2, 3, 6, 7), (2, 3, 3, 3), (2, 2), (1, 1)),  # batch 2
+        # kn2row pads every stride phase's correlation by -1 on some side
+        ("conv3d", (1, 2, 4, 6, 7), (2, 2, 3, 3, 3), (1, 2, 2), (3, 3, 3)),
     ],
 )
-def test_input_grad_matches_naive(op, xs, ks, stride, padding, rng):
+def test_input_grad_matches_naive(op, xs, ks, stride, padding, rng, lowerings):
     """x.grad of <op(x, w), g> is the scalar-loop scatter of g onto the
     padded input, cropped to x: exactly zero on a tail that no tap reaches."""
-    x = ad.Tensor(rng.standard_normal(xs), requires_grad=True)
+    xd = rng.standard_normal(xs)
     w = rng.standard_normal(ks)
-    out = getattr(ad, op)(x, ad.Tensor(w), None, stride, padding)
-    g = rng.standard_normal(out.shape)
-    ad.backward(ad.tsum(ad.mul(out, ad.Tensor(g))))
+    osp = tuple((n + 2 * p - k) // s + 1 for n, p, k, s in zip(xs[2:], padding, ks[2:], stride))
+    g = rng.standard_normal(xs[:1] + ks[:1] + osp)
     naive = conv_transpose2d_naive if op == "conv2d" else conv_transpose3d_naive
     scattered = naive(g, w, None, stride, (0,) * len(stride))
     padded = np.zeros(xs[:2] + tuple(n + 2 * p for n, p in zip(xs[2:], padding)))
     padded[tuple(slice(n) for n in scattered.shape)] = scattered
     want = padded[(slice(None),) * 2 + tuple(slice(p, p + n) for n, p in zip(xs[2:], padding))]
-    assert np.allclose(x.grad, want, rtol=0, atol=1e-12)
-    assert np.count_nonzero(x.grad) == np.count_nonzero(want)
+    for lowering in lowerings():
+        x = ad.Tensor(xd, requires_grad=True)
+        out = getattr(ad, op)(x, ad.Tensor(w), None, stride, padding)
+        ad.backward(ad.tsum(ad.mul(out, ad.Tensor(g))))
+        assert np.allclose(x.grad, want, rtol=0, atol=1e-12), lowering
+        assert np.count_nonzero(x.grad) == np.count_nonzero(want)
 
 
 @pytest.mark.parametrize("op", ["conv2d", "conv3d"])
@@ -210,6 +239,7 @@ def test_conv_transpose3d_allocates_no_dilated_buffer(rng):
     cin, cout, k, spatial = 16, 8, 4, (8, 16, 32)
     x = ad.Tensor(rng.standard_normal((1, cin) + spatial))
     w = ad.Tensor(rng.standard_normal((cin, cout, k, k, k)))
+    assert not conv._small(1, cout, (k,) * 3, spatial)  # measures kn2row
     padded_out = [(n - 1) * 2 + k for n in spatial]
     dilated_im2col = cin * int(np.prod(padded_out)) * k**3 * x.data.itemsize
     tracemalloc.start()
@@ -230,6 +260,7 @@ def test_conv3d_stride1_peak_is_a_few_copies_of_its_input(rng):
     cin, cout, k, spatial = 8, 8, 3, (8, 32, 64)
     x = ad.Tensor(rng.standard_normal((1, cin) + spatial))
     w = ad.Tensor(rng.standard_normal((cout, cin, k, k, k)))
+    assert not conv._small(1, cin, (k,) * 3, spatial)  # measures kn2row
     padded = cin * int(np.prod([n + 2 for n in spatial])) * x.data.itemsize
     tracemalloc.start()
     try:
@@ -250,6 +281,7 @@ def test_conv3d_stride1_input_grad_peak_is_a_few_copies_of_its_cotangent(rng):
     cin, cout, k, spatial = 8, 8, 3, (8, 32, 64)
     g = rng.standard_normal((1, cout) + spatial)
     w = rng.standard_normal((cout, cin, k, k, k))
+    assert not conv._small(1, cin, (k,) * 3, spatial)  # measures kn2row
     padded = cout * int(np.prod([n + 2 for n in spatial])) * g.itemsize
     tracemalloc.start()
     try:
@@ -259,6 +291,76 @@ def test_conv3d_stride1_input_grad_peak_is_a_few_copies_of_its_cotangent(rng):
         tracemalloc.stop()
     assert gx.shape == (1, cin) + spatial
     assert peak < (k + 3) * padded
+
+
+def test_gather_peak_is_the_columns_plus_padded_input_and_result(rng):
+    """On the gather path each kernel of a strided 3x3x3 conv3d whose column
+    matrix nearly fills the budget holds at most the columns, the zero-padded
+    input grid and its result: no second copy of the columns.  The input
+    gradient is col2im's padded grid, filled tap by tap, and its crop."""
+    cin, cout, k, spatial, stride = 32, 16, 3, (4, 16, 32), (1, 2, 2)
+    osp = (4, 8, 16)
+    assert conv._COLUMNS // 2 < cin * k**3 * prod(osp) <= conv._COLUMNS
+    x = rng.standard_normal((1, cin) + spatial)
+    w = rng.standard_normal((cout, cin, k, k, k))
+    g = rng.standard_normal((1, cout) + osp)
+    one, pads = (1, 1, 1), ((1, 1),) * 3
+    columns = conv._COLUMNS * x.itemsize
+    padded = cin * prod(n + 2 for n in spatial) * x.itemsize
+    kernels = {
+        "forward": (lambda: conv._corr_forward(x, w, stride, pads), g.nbytes),
+        "kernel grad": (lambda: conv._corr_kernel_grad(x, g, stride, pads, w.shape[2:]), w.nbytes),
+        "input grad": (lambda: conv._corr_input_grad(g, w, stride, one, spatial), x.nbytes),
+    }
+    for name, (run, result) in kernels.items():
+        tracemalloc.start()
+        try:
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == result
+        assert peak <= columns + padded + result, name
+
+
+def test_small_calls_gather_and_large_calls_take_kn2row(rng, monkeypatch):
+    """At the default budget a conv whose columns fit runs its forward and both
+    gradients without the kn2row lowering; a decoder-sized one uses it."""
+    calls = []
+    real = conv._lowering
+    monkeypatch.setattr(conv, "_lowering", lambda *a: calls.append(a) or real(*a))
+    w = ad.Tensor(rng.standard_normal((8, 8, 3, 3, 3)), requires_grad=True)
+    small = ad.Tensor(rng.standard_normal((1, 8, 4, 8, 8)), requires_grad=True)
+    ad.backward(ad.tsum(ad.conv3d(small, w, None, 2, 1)))
+    assert calls == [] and small.grad is not None and w.grad is not None
+    ad.conv3d(ad.Tensor(rng.standard_normal((1, 8, 8, 32, 64))), w, None, 1, 1)
+    assert len(calls) == 1
+
+
+def test_corr_forward_with_negative_pads_matches_naive(rng, lowerings):
+    """The kn2row input gradient pads each stride phase's correlation per
+    side, negatively where the phase starts or ends inside the cotangent, and
+    at the default budget that correlation may gather its columns: both
+    lowerings drop a negative side's entries and zero-pad a positive one."""
+    x = rng.standard_normal((2, 3, 7, 8))
+    w = rng.standard_normal((2, 3, 3, 2))
+    want = conv2d_naive(np.pad(x[:, :, 1:, :-2], ((0, 0), (0, 0), (0, 2), (1, 0))), w, None, (2, 1))
+    for lowering in lowerings():
+        got = conv._corr_forward(x, w, (2, 1), ((-1, 2), (1, -2)))
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0, atol=1e-12), lowering
+
+
+@pytest.mark.parametrize("op", ["conv2d", "conv3d", "conv_transpose2d", "conv_transpose3d"])
+def test_conv_rejects_negative_padding(op):
+    """A negative padding would crop the input (or widen a transposed
+    output) instead of padding it; every public op names itself and refuses."""
+    nsp = 3 if op.endswith("3d") else 2
+    x = ad.Tensor(np.zeros((1, 1) + (5,) * nsp))
+    w = ad.Tensor(np.zeros((1, 1) + (3,) * nsp))
+    for padding in (-1, (1,) * (nsp - 1) + (-1,)):
+        with pytest.raises(ShapeError, match=f"{op}: padding"):
+            getattr(ad, op)(x, w, padding=padding)
 
 
 @pytest.mark.parametrize(
@@ -286,21 +388,23 @@ def test_conv3d_stride1_input_grad_peak_is_a_few_copies_of_its_cotangent(rng):
         ("conv_transpose3d", (2, 2, 2, 2, 3), (2, 2, 4, 4, 4), (2, 2, 2), (1, 1, 1)),
     ],
 )
-def test_kernel_grad_matches_naive(op, xs, ks, stride, padding, rng):
+def test_kernel_grad_matches_naive(op, xs, ks, stride, padding, rng, lowerings):
     """w.grad of <op(x, w), g> against the scalar-loop kernel gradient.  A
     transposed conv is the adjoint of a conv with the same kernel, so its
     kernel gradient is that conv's with the roles of x and g swapped."""
     x = rng.standard_normal(xs)
-    w = ad.Tensor(rng.standard_normal(ks), requires_grad=True)
-    out = getattr(ad, op)(ad.Tensor(x), w, None, stride, padding)
-    g = rng.standard_normal(out.shape)
-    ad.backward(ad.tsum(ad.mul(out, ad.Tensor(g))))
+    wd = rng.standard_normal(ks)
+    g = rng.standard_normal(getattr(ad, op)(ad.Tensor(x), ad.Tensor(wd), None, stride, padding).shape)
     if op.startswith("conv_transpose"):
         want = conv_kernel_grad_naive(g, x, ks[2:], stride, padding)
     else:
         want = conv_kernel_grad_naive(x, g, ks[2:], stride, padding)
-    assert w.grad.shape == want.shape
-    assert np.allclose(w.grad, want, rtol=0, atol=1e-12)
+    for lowering in lowerings():
+        w = ad.Tensor(wd, requires_grad=True)
+        out = getattr(ad, op)(ad.Tensor(x), w, None, stride, padding)
+        ad.backward(ad.tsum(ad.mul(out, ad.Tensor(g))))
+        assert w.grad.shape == want.shape
+        assert np.allclose(w.grad, want, rtol=0, atol=1e-12), lowering
 
 
 def test_conv_transpose_doubles_extent_with_k4_s2_p1():
@@ -334,7 +438,7 @@ def test_conv_transpose_rejects_negative_extent():
         ((1, 2, 5, 7, 7), (2, 2, 3, 3, 3), (1, 3, 2), (2, 1, 3), 3),  # uneven strides
     ],
 )
-def test_adjoint_identity(xs, ks, stride, padding, nd, rng):
+def test_adjoint_identity(xs, ks, stride, padding, nd, rng, lowerings):
     """<conv(x), y> == <x, conv_transpose(y)> for a shared kernel.
 
     Shapes are stride-compatible so the transpose lands exactly back on the
@@ -342,63 +446,61 @@ def test_adjoint_identity(xs, ks, stride, padding, nd, rng):
     """
     x = rng.standard_normal(xs)
     w = rng.standard_normal(ks)
-    conv = ad.conv2d if nd == 2 else ad.conv3d
+    fconv = ad.conv2d if nd == 2 else ad.conv3d
     tconv = ad.conv_transpose2d if nd == 2 else ad.conv_transpose3d
-    cx = conv(ad.Tensor(x), ad.Tensor(w), None, stride, padding)
-    y = rng.standard_normal(cx.shape)
-    # conv_transpose sees the kernel from the other side: [Co,Ci,*K] -> feed as-is
-    ty = tconv(ad.Tensor(y), ad.Tensor(w), None, stride, padding)
-    assert ty.shape == tuple(xs)
-    lhs = float((cx.data * y).sum())
-    rhs = float((x * ty.data).sum())
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    assert abs(lhs - rhs) / scale <= 1e-10
+    y = rng.standard_normal(fconv(ad.Tensor(x), ad.Tensor(w), None, stride, padding).shape)
+    for lowering in lowerings():
+        cx = fconv(ad.Tensor(x), ad.Tensor(w), None, stride, padding)
+        # conv_transpose sees the kernel from the other side: [Co,Ci,*K] -> feed as-is
+        ty = tconv(ad.Tensor(y), ad.Tensor(w), None, stride, padding)
+        assert ty.shape == tuple(xs)
+        lhs = float((cx.data * y).sum())
+        rhs = float((x * ty.data).sum())
+        scale = max(abs(lhs), abs(rhs), 1.0)
+        assert abs(lhs - rhs) / scale <= 1e-10, lowering
 
 
-def test_conv2d_gradcheck(rng):
+def test_conv2d_gradcheck(rng, lowerings):
     x = rng.standard_normal((1, 2, 5, 5))
     w = ad.Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.5, requires_grad=True)
     b = ad.Tensor(rng.standard_normal(3) * 0.1, requires_grad=True)
     probe = rng.standard_normal((1, 3, 3, 3))
+    xt = ad.Tensor(x)
 
     def wrt_x(t):
         return ad.tsum(ad.mul(ad.conv2d(t, w, b, (2, 2), (1, 1)), ad.Tensor(probe)))
 
-    assert ad.grad_check(wrt_x, x) <= 1e-4
-
-    xt = ad.Tensor(x)
-
     def wrt_w(t):
         return ad.tsum(ad.mul(ad.conv2d(xt, t, b, (2, 2), (1, 1)), ad.Tensor(probe)))
-
-    assert ad.grad_check(wrt_w, w.data.copy()) <= 1e-4
 
     def wrt_b(t):
         return ad.tsum(ad.mul(ad.conv2d(xt, w, t, (2, 2), (1, 1)), ad.Tensor(probe)))
 
-    assert ad.grad_check(wrt_b, b.data.copy()) <= 1e-4
+    for lowering in lowerings():
+        assert ad.grad_check(wrt_x, x) <= 1e-4, lowering
+        assert ad.grad_check(wrt_w, w.data.copy()) <= 1e-4, lowering
+        assert ad.grad_check(wrt_b, b.data.copy()) <= 1e-4, lowering
 
 
-def test_conv3d_gradcheck(rng):
+def test_conv3d_gradcheck(rng, lowerings):
     x = rng.standard_normal((1, 2, 3, 4, 4))
     w = ad.Tensor(rng.standard_normal((2, 2, 1, 3, 3)) * 0.5, requires_grad=True)
     b = ad.Tensor(rng.standard_normal(2) * 0.1, requires_grad=True)
     probe = rng.standard_normal((1, 2, 3, 4, 4))
+    xt = ad.Tensor(x)
 
     def wrt_x(t):
         return ad.tsum(ad.mul(ad.conv3d(t, w, b, 1, (0, 1, 1)), ad.Tensor(probe)))
 
-    assert ad.grad_check(wrt_x, x) <= 1e-4
-
-    xt = ad.Tensor(x)
-
     def wrt_w(t):
         return ad.tsum(ad.mul(ad.conv3d(xt, t, b, 1, (0, 1, 1)), ad.Tensor(probe)))
 
-    assert ad.grad_check(wrt_w, w.data.copy()) <= 1e-4
+    for lowering in lowerings():
+        assert ad.grad_check(wrt_x, x) <= 1e-4, lowering
+        assert ad.grad_check(wrt_w, w.data.copy()) <= 1e-4, lowering
 
 
-def test_conv3d_stride2_gradcheck(rng):
+def test_conv3d_stride2_gradcheck(rng, lowerings):
     """The input gradient of the encoder's k=3, s=2 downsample."""
     x = rng.standard_normal((1, 2, 5, 5, 5))
     w = ad.Tensor(rng.standard_normal((3, 2, 3, 3, 3)) * 0.5)
@@ -407,13 +509,15 @@ def test_conv3d_stride2_gradcheck(rng):
     def wrt_x(t):
         return ad.tsum(ad.mul(ad.conv3d(t, w, None, 2, 1), ad.Tensor(probe)))
 
-    assert ad.grad_check(wrt_x, x) <= 1e-4
+    for lowering in lowerings():
+        assert ad.grad_check(wrt_x, x) <= 1e-4, lowering
 
 
-def test_conv_transpose3d_gradcheck(rng):
+def test_conv_transpose3d_gradcheck(rng, lowerings):
     x = rng.standard_normal((1, 2, 2, 3, 3))
     w = ad.Tensor(rng.standard_normal((2, 1, 4, 4, 4)) * 0.5, requires_grad=True)
     b = ad.Tensor(rng.standard_normal(1) * 0.1, requires_grad=True)
+    xt = ad.Tensor(x)
 
     def scalar(out):
         return ad.tsum(ad.mul(out, out))
@@ -421,19 +525,16 @@ def test_conv_transpose3d_gradcheck(rng):
     def wrt_x(t):
         return scalar(ad.conv_transpose3d(t, w, b, 2, 1))
 
-    assert ad.grad_check(wrt_x, x) <= 1e-4
-
-    xt = ad.Tensor(x)
-
     def wrt_w(t):
         return scalar(ad.conv_transpose3d(xt, t, b, 2, 1))
-
-    assert ad.grad_check(wrt_w, w.data.copy()) <= 1e-4
 
     def wrt_b(t):
         return scalar(ad.conv_transpose3d(xt, w, t, 2, 1))
 
-    assert ad.grad_check(wrt_b, b.data.copy()) <= 1e-4
+    for lowering in lowerings():
+        assert ad.grad_check(wrt_x, x) <= 1e-4, lowering
+        assert ad.grad_check(wrt_w, w.data.copy()) <= 1e-4, lowering
+        assert ad.grad_check(wrt_b, b.data.copy()) <= 1e-4, lowering
 
 
 def test_gradcheck_subsampling_is_deterministic(rng):

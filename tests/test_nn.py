@@ -137,6 +137,27 @@ def test_module_list():
         holder.param_count()
 
 
+
+def test_reassigned_attribute_leaves_the_state():
+    """Reassigning an attribute unregisters what it held: a parameter set to
+    None, a module replaced by a list and a list set to None leave no state
+    behind, while a parameter replaced by a parameter keeps its place."""
+    rng = np.random.default_rng(7)
+    m = nn.Module()
+    m.w = nn.Parameter(np.ones(2))
+    m.x = nn.Conv(1, 1, (1, 1), rng)
+    m.v = nn.Parameter(np.zeros(1))
+    m.w = None
+    assert list(m.state_arrays()) == ["v", "x.weight", "x.bias"]
+    m.x = [nn.Conv(1, 1, (1, 1), rng, bias=False)]
+    assert list(m.state_arrays()) == ["v", "x.0.weight"]
+    m.x = None
+    assert list(m.state_arrays()) == ["v"]
+    m.w = nn.Parameter(np.ones(1))
+    m.v = nn.Parameter(np.ones(3))
+    assert list(m.state_arrays()) == ["v", "w"] and m.param_count() == 4
+
+
 @pytest.mark.parametrize("op", ["conv2d", "conv3d", "conv_transpose2d", "conv_transpose3d"])
 def test_conv_layer_calls_public_op_at_call_time(monkeypatch, op):
     # the layer is built before the op is replaced, so it must look the op
