@@ -4,30 +4,26 @@ Everything runs on three kernels of one strided correlation: its forward, its
 kernel gradient and its input gradient (the exact adjoint of the forward).
 The transposed convolution *is* that adjoint applied as a forward op, so the
 inner-product identity ``<conv(x), y> == <x, conv_transpose(y)>`` holds up to
-roundoff.  Each kernel call picks one of two lowerings to GEMMs by the size of
-its column matrix, ``B·Ci·∏K·∏O`` elements:
+roundoff.  The forward and the kernel gradient pick one of two lowerings to
+GEMMs by the stride and the column matrix, ``B·Ci·∏K·∏O`` elements:
 
-* up to ``_COLUMNS`` elements (small maps, many channels), im2col: the columns
-  are gathered in one copy from a window view of the zero-padded input at the
-  conv's own stride.  The forward is one GEMM with the kernel as a free
-  [Co, Ci·∏K] view, the kernel gradient one GEMM ``g·colsᵀ`` with the batch
-  folded in, and a strided input gradient ``Wᵀ·g`` followed by one strided
-  add per tap into the padded input grid and a crop (col2im).  A stride-1
-  input gradient is a stride-1 correlation of g with the flipped kernel, so
-  it runs as that forward and gathers too: its one copy beats col2im's
-  per-tap adds, which run along the output's short last axis.
-* above it (large maps, few channels), kn2row / flat shift, with no im2col
-  buffer: on the zero-padded grid flattened row-major, each kernel tap reads
-  one contiguous run, so with the last axis's taps stacked once, each
-  remaining tap is one GEMM accumulated on the output grid.  A strided
-  correlation is the sum over stride phases of stride-1 ones, each of the
-  phase-subsampled padded input with that phase's sub-kernel; the kernel
-  gradient is the same loop with the cotangent on the output grid.  The input
-  gradient is also per stride phase: one stride-1 correlation of the
-  cotangent with that phase's channel-swapped, spatially-flipped sub-kernel,
-  padded per side so that it computes only the phase's positions inside the
-  input, and written straight to every stride-th input position, so no
-  multiply-add hits a structural zero and nothing is cropped.
+* a stride-1 call above ``_COLUMNS`` elements (large maps, few channels) runs
+  kn2row / flat shift, with no im2col buffer: on the zero-padded input
+  flattened row-major each kernel tap reads one contiguous run, so with the
+  last axis's taps stacked once, each remaining tap is one GEMM accumulated on
+  the output grid (for the kernel gradient, with the cotangent on that grid).
+* every other call gathers its columns (im2col) from a window view of the
+  zero-padded input at the conv's own stride, in tiles of whole rows of the
+  first output axis, each at most ``_COLUMNS`` elements but at least one row.
+  Per tile, the forward is one GEMM with the kernel as a free [Co, Ci·∏K]
+  view, written into the tile's rows of the output, and the kernel gradient
+  one GEMM ``g·colsᵀ`` with the batch folded in, summed over the tiles.
+
+The input gradient of a strided call whose columns fit ``_COLUMNS`` is col2im:
+``Wᵀ·g``, then one strided add per tap into the padded input grid and a crop.
+Any other input gradient is polyphase: one stride-1 correlation per stride
+phase (a stride-1 call is the one phase), written straight to every stride-th
+input position, so no multiply-add hits a structural zero.
 """
 
 from __future__ import annotations
@@ -48,12 +44,12 @@ __all__ = [
     "conv_transpose3d",
 ]
 
-# GEMM columns per block: every tap runs on one block before the next, so the
-# block's output and products stay in cache while they are summed.
+# GEMM columns per kn2row block: every tap runs on one block before the next,
+# so the block's output and products stay in cache while they are summed.
 _BLOCK = 4096
-# Column-matrix elements (B·Ci·∏K·∏O) up to which a kernel call gathers its
-# columns and runs one GEMM: 2 MiB in float32.  Past it the gather stops
-# paying for itself, and larger calls take the kn2row lowering.
+# Column-matrix elements (B·Ci·∏K·∏O), 2 MiB in float32: the most that one
+# gathered tile holds, and the size above which a stride-1 call takes kn2row,
+# whose GEMMs on views beat the gather for large maps with few channels.
 _COLUMNS = 1 << 19
 
 
@@ -84,136 +80,131 @@ def _small(b, c, kshape, osp) -> bool:
     return b * c * prod(kshape) * prod(osp) <= _COLUMNS
 
 
-def _windows(x, kshape, stride, pads, osp):
-    """Read-only view [B,C,*K,*O] of x [B,C,*S] zero-padded by pads (a
-    negative side drops entries): entry (b, c, k, o) is padded position
-    o·s + k.  Copying it is the im2col gather."""
+def _pad(x, pads):
+    """x [B,C,*S] zero-padded by pads, one (lo, hi) pair per spatial axis: lo
+    zeros before, hi after; a negative side drops that many entries of x
+    instead.  A view of x when no side is positive."""
     keep = (slice(None), slice(None))
     x = x[keep + tuple(slice(max(0, -lo), n + min(0, hi)) for n, (lo, hi) in zip(x.shape[2:], pads))]
     lo, hi = [max(0, a) for a, _ in pads], [max(0, b) for _, b in pads]
-    if any(lo) or any(hi):
-        padded = np.zeros(x.shape[:2] + tuple(a + n + b for a, n, b in zip(lo, x.shape[2:], hi)), x.dtype)
-        padded[keep + tuple(slice(a, a + n) for a, n in zip(lo, x.shape[2:]))] = x
-        x = padded
-    spatial = x.strides[2:]
-    return as_strided(
-        x,
-        x.shape[:2] + tuple(kshape) + tuple(osp),
-        x.strides[:2] + spatial + tuple(q * s for q, s in zip(spatial, stride)),
+    if not any(lo) and not any(hi):
+        return x
+    padded = np.zeros(x.shape[:2] + tuple(a + n + b for a, n, b in zip(lo, x.shape[2:], hi)), x.dtype)
+    padded[keep + tuple(slice(a, a + n) for a, n in zip(lo, x.shape[2:]))] = x
+    return padded
+
+
+def _tiles(x, kshape, stride, pads, osp):
+    """Yield (rows, window) per tile of the im2col gather of x [B,C,*S],
+    zero-padded by pads.  rows is a slice of the first output axis, as many
+    rows as fit _COLUMNS but at least one, and window the read-only view
+    [B,C,*K,rows,*O[1:]] whose entry (b, c, k, o) is padded position o·s + k.
+    Copying a window gathers its tile's columns."""
+    padded = _pad(x, pads)
+    spatial = padded.strides[2:]
+    view = as_strided(
+        padded,
+        padded.shape[:2] + tuple(kshape) + tuple(osp),
+        padded.strides[:2] + spatial + tuple(q * s for q, s in zip(spatial, stride)),
         writeable=False,
     )
+    step = max(1, _COLUMNS // (prod(x.shape[:2]) * prod(kshape) * prod(osp[1:])))
+    lead = (slice(None),) * (2 + len(kshape))
+    for start in range(0, osp[0], step):
+        rows = slice(start, start + step)
+        yield rows, view[lead + (rows,)]
 
 
-def _lowering(x, kshape, stride, pads):
-    """Flat-shift lowering (kn2row) of a strided correlation of the
-    zero-padded x [B,C,*S] with a kernel of kshape: GEMMs on views, no im2col.
-    pads holds one (lo, hi) pair per axis: lo zeros before, hi after; a
-    negative side drops that many entries of x instead.
+def _lowering(x, kshape, pads):
+    """Flat-shift lowering (kn2row) of a stride-1 correlation of x [B,C,*S],
+    zero-padded by pads as in _pad, with a kernel of kshape: GEMMs on views,
+    no im2col.
 
-    Taps r, r+s, r+2s, ... of an axis read only padded positions r (mod s), so
-    the correlation is a sum over stride phases r of stride-1 ones, each on
-    the phase grid (the padded x at r::s) with the sub-kernel of those taps;
-    stride 1 is the single phase.  All phases share one grid P = O + ⌈K/s⌉ − 1.
-    On it, flattened row-major, the tap (a, b, ..., c) of a stride-1
-    correlation reads the contiguous run from a·P1·P2 + b·P2 + c.  Stacking
-    the last axis's k taps once (k shifted copies of the grid) makes each
-    leading tap one view `stack[:, :, o:o + span]` of [B, C·k, span] whose
+    The padded x is the grid P = O + K − 1.  On it, flattened row-major, the
+    tap (a, b, ..., c) reads the contiguous run from a·P1·P2 + b·P2 + c.
+    Stacking the last axis's k taps once (k shifted copies of the grid) makes
+    each leading tap one view `stack[:, :, o:o + span]` of [B, C·k, span] whose
     inner axis pairs with `w[:, :, a, b, :]`; its column n is the output at
     position n of the output grid [O0, P1, ..., P_last], where [:, :O1, ...]
-    is valid.
+    is valid.  The padded grid is freed once the stack is built, before the
+    caller allocates its output grid.
 
-    Returns the output grid, the index of its valid part, the span, and a
-    generator of (kernel index of a phase's taps, [(leading tap, view)]) that
-    builds each phase's stack as it is reached.
+    Returns the output grid, the index of its valid part, the span, and the
+    list of (leading tap, view).
     """
-    osp = _out_spatial(x.shape[2:], kshape, stride, pads)
-    grid = tuple(o + (k - 1) // s for o, k, s in zip(osp, kshape, stride))
-    size = int(np.prod(grid))
-    pitch = [int(q) for q in np.cumprod((1,) + grid[:0:-1])[::-1]]
+    osp = _out_spatial(x.shape[2:], kshape, (1,) * len(kshape), pads)
+    grid = _pad(x, pads)
+    (b, c), spatial = grid.shape[:2], grid.shape[2:]
+    size = prod(spatial)
+    pitch = [prod(spatial[i + 1 :]) for i in range(len(spatial))]
     span = 1 + sum((o - 1) * q for o, q in zip(osp, pitch))
-    keep = (slice(None), slice(None))
-    b, c = x.shape[:2]
-
-    def phases():
-        for phase in itertools.product(*(range(min(s, k)) for s, k in zip(stride, kshape))):
-            # the phase grid holds x[a::s] from position f on, zeros elsewhere
-            front, part, ksub = [], [], []
-            for m, r, s, (lo, _), k in zip(grid, phase, stride, pads, kshape):
-                f = min(m, max(0, -(-(lo - r) // s)))
-                a = r + s * f - lo
-                front.append(f)
-                part.append(slice(a, a + s * (m - f), s))
-                ksub.append((k - 1 - r) // s + 1)
-            part = x[keep + tuple(part)]
-            padded = np.zeros((b, c) + grid, x.dtype)
-            padded[keep + tuple(slice(f, f + n) for f, n in zip(front, part.shape[2:]))] = part
-            flat = padded.reshape(b, c, size)
-            k, length = ksub[-1], size - ksub[-1] + 1
-            stack = np.empty((b, c, k, length), x.dtype)
-            for t in range(k):
-                stack[:, :, t] = flat[:, :, t : t + length]
-            del padded, flat  # only the stack stays alive while the GEMMs run
-            stack = stack.reshape(b, c * k, length)
-            views = []
-            for lead in itertools.product(*(range(n) for n in ksub[:-1])):
-                o = sum(a * q for a, q in zip(lead, pitch))
-                views.append((lead, stack[:, :, o : o + span]))
-            yield keep + tuple(slice(r, None, s) for r, s in zip(phase, stride)), views
-
-    valid = keep + tuple(slice(o) for o in osp)
-    return (osp[0],) + grid[1:], valid, span, phases()
+    k, length = kshape[-1], size - kshape[-1] + 1
+    flat = grid.reshape(b, c, size)
+    stack = np.empty((b, c, k, length), x.dtype)
+    for t in range(k):
+        stack[:, :, t] = flat[:, :, t : t + length]
+    del grid, flat  # only the stack stays alive while the GEMMs run
+    stack = stack.reshape(b, c * k, length)
+    views = []
+    for lead in itertools.product(*(range(n) for n in kshape[:-1])):
+        o = sum(a * q for a, q in zip(lead, pitch))
+        views.append((lead, stack[:, :, o : o + span]))
+    valid = (slice(None), slice(None)) + tuple(slice(o) for o in osp)
+    return (osp[0],) + spatial[1:], valid, span, views
 
 
 def _corr_forward(x, w, stride, pads) -> np.ndarray:
     """Plain strided correlation of x [B,Ci,*S] with w [Co,Ci,*K] -> [B,Co,*O],
     on the kn2row path returned as a view of the output grid."""
-    b, c = x.shape[:2]
-    osp = _out_spatial(x.shape[2:], w.shape[2:], stride, pads)
-    if _small(b, c, w.shape[2:], osp):
-        cols = _windows(x, w.shape[2:], stride, pads, osp).reshape(b, -1, prod(osp))
-        return (w.reshape(len(w), -1) @ cols).reshape((b, len(w)) + osp)
-    ogrid, valid, span, phases = _lowering(x, w.shape[2:], stride, pads)
-    acc = np.zeros(x.shape[:1] + w.shape[:1] + ogrid, np.result_type(x, w))
-    flat = acc.reshape(acc.shape[:2] + (-1,))[:, :, :span]
-    for taps, views in phases:
-        ws = w[taps]
-        gemms = [(ws[(slice(None), slice(None)) + lead].reshape(len(ws), -1), view)
-                 for lead, view in views]
-        for start in range(0, span, _BLOCK):
-            cols = slice(start, start + _BLOCK)
-            block = flat[:, :, cols]
-            for wt, view in gemms:
-                block += wt @ view[:, :, cols]
+    (b, c), co, kshape = x.shape[:2], len(w), w.shape[2:]
+    osp = _out_spatial(x.shape[2:], kshape, stride, pads)
+    dtype = np.result_type(x, w)
+    if max(stride) > 1 or _small(b, c, kshape, osp):
+        out = np.empty((b, co) + osp, dtype)
+        wm = w.reshape(co, -1)
+        for rows, window in _tiles(x, kshape, stride, pads, osp):
+            np.matmul(wm, window.reshape(b, wm.shape[1], -1), out=out[:, :, rows].reshape(b, co, -1))
+        return out
+    ogrid, valid, span, views = _lowering(x, kshape, pads)
+    acc = np.zeros((b, co) + ogrid, dtype)
+    flat = acc.reshape(b, co, -1)[:, :, :span]
+    gemms = [(w[(slice(None), slice(None)) + lead].reshape(co, -1), view) for lead, view in views]
+    for start in range(0, span, _BLOCK):
+        cols = slice(start, start + _BLOCK)
+        block = flat[:, :, cols]
+        for wt, view in gemms:
+            block += wt @ view[:, :, cols]
     return acc[valid]
 
 
 def _corr_kernel_grad(x, g, stride, pads, kshape) -> np.ndarray:
-    """Gradient of the correlation above with respect to the kernel: one GEMM
-    of g with the gathered columns, or the kn2row loop with g embedded on
-    the output grid."""
-    b, c, nsp = *x.shape[:2], len(kshape)
-    if _small(b, c, kshape, g.shape[2:]):
+    """Gradient of the correlation above with respect to the kernel: per tile,
+    one GEMM of g with the gathered columns, or the kn2row loop with g
+    embedded on the output grid."""
+    (b, c), co, nsp = x.shape[:2], g.shape[1], len(kshape)
+    if max(stride) > 1 or _small(b, c, kshape, g.shape[2:]):
         # columns ordered [Ci,*K,B,*O]: the batch folds into the GEMM's inner axis
-        cols = _windows(x, kshape, stride, pads, g.shape[2:]).transpose(
-            (1, *range(2, 2 + nsp), 0, *range(2 + nsp, 2 + 2 * nsp))
-        ).reshape(c * prod(kshape), -1)
-        gm = g.swapaxes(0, 1).reshape(g.shape[1], -1)
-        return (gm @ cols.T).reshape(g.shape[1:2] + (c,) + tuple(kshape))
-    ogrid, valid, span, phases = _lowering(x, kshape, stride, pads)
-    gg = np.zeros(g.shape[:2] + ogrid, np.result_type(x, g))
+        order = (1, *range(2, 2 + nsp), 0, *range(2 + nsp, 2 + 2 * nsp))
+        parts = (
+            g[:, :, rows].swapaxes(0, 1).reshape(co, -1)
+            @ window.transpose(order).reshape(c * prod(kshape), -1).T
+            for rows, window in _tiles(x, kshape, stride, pads, g.shape[2:])
+        )
+        gw = next(parts)
+        for part in parts:
+            gw += part
+        return gw.reshape((co, c) + tuple(kshape))
+    ogrid, valid, span, views = _lowering(x, kshape, pads)
+    gg = np.zeros((b, co) + ogrid, np.result_type(x, g))
     gg[valid] = g
-    gflat = gg.reshape(gg.shape[:2] + (-1,))[:, :, :span]
-    gw = np.zeros(g.shape[1:2] + x.shape[1:2] + tuple(kshape), gg.dtype)
-    for taps, views in phases:
-        sub = gw[taps]
-        for start in range(0, span, _BLOCK):
-            cols = slice(start, start + _BLOCK)
-            block = gflat[:, :, cols]
-            for lead, view in views:
-                gemm = block @ view[:, :, cols].swapaxes(1, 2)
-                sub[(slice(None), slice(None)) + lead] += gemm.sum(axis=0).reshape(
-                    sub.shape[:2] + (-1,)
-                )
+    gflat = gg.reshape(b, co, -1)[:, :, :span]
+    gw = np.zeros((co, c) + tuple(kshape), gg.dtype)
+    for start in range(0, span, _BLOCK):
+        cols = slice(start, start + _BLOCK)
+        block = gflat[:, :, cols]
+        for lead, view in views:
+            gemm = block @ view[:, :, cols].swapaxes(1, 2)
+            gw[(slice(None), slice(None)) + lead] += gemm.sum(axis=0).reshape(co, c, -1)
     return gw
 
 

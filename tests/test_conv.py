@@ -28,13 +28,17 @@ def rng():
 
 @pytest.fixture
 def lowerings(monkeypatch):
-    """Iterate ``lowerings()`` to run a case once per lowering: first with the
-    column budget at 0, so every kernel call takes kn2row, then above every
-    test shape, so every call gathers its columns.  Each step yields the
-    lowering's name."""
+    """Iterate ``lowerings()`` to run a case once per lowering.  First the
+    column budget is 0: every stride-1 forward and kernel gradient takes
+    kn2row, every strided one gathers one output row per tile, and every input
+    gradient is polyphase.  Then the budget is above every test shape: every
+    forward and kernel gradient gathers in one tile, and a strided input
+    gradient is col2im.  So the oracles, the adjoint identity and the
+    gradchecks cover kn2row, multi-tile and one-tile gathers, col2im and the
+    polyphase adjoint.  Each step yields the lowering's name."""
 
     def each():
-        for name, budget in (("kn2row", 0), ("gather", 1 << 40)):
+        for name, budget in (("kn2row and row tiles", 0), ("one tile", 1 << 40)):
             monkeypatch.setattr(conv, "_COLUMNS", budget)
             yield name
 
@@ -179,7 +183,7 @@ def test_conv2d_input_grad_leaves_unreached_input_zero(rng, lowerings):
         ("conv3d", (1, 2, 5, 8, 7), (2, 2, 3, 3, 3), (1, 3, 2), (2, 1, 3)),  # uneven strides
         ("conv3d", (1, 2, 8, 8, 8), (2, 2, 3, 3, 3), (2, 2, 2), (0, 0, 0)),  # tail in 3-D
         ("conv2d", (2, 3, 6, 7), (2, 3, 3, 3), (2, 2), (1, 1)),  # batch 2
-        # kn2row pads every stride phase's correlation by -1 on some side
+        # the polyphase adjoint pads each phase's correlation by -1 on some side
         ("conv3d", (1, 2, 4, 6, 7), (2, 2, 3, 3, 3), (1, 2, 2), (3, 3, 3)),
     ],
 )
@@ -232,6 +236,16 @@ def test_input_needing_no_gradient_skips_the_input_grad(op, rng, monkeypatch):
     assert np.array_equal(leaf_gw, gw) and np.array_equal(leaf_gb, gb)
 
 
+def _traced(run):
+    """run()'s result and the peak of the memory it allocates."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_conv_transpose3d_allocates_no_dilated_buffer(rng):
     """Peak allocation of one k=4, s=2, p=1 transposed conv stays below a
     quarter of the im2col of a stride-dilated input (the padded output extent
@@ -239,15 +253,10 @@ def test_conv_transpose3d_allocates_no_dilated_buffer(rng):
     cin, cout, k, spatial = 16, 8, 4, (8, 16, 32)
     x = ad.Tensor(rng.standard_normal((1, cin) + spatial))
     w = ad.Tensor(rng.standard_normal((cin, cout, k, k, k)))
-    assert not conv._small(1, cout, (k,) * 3, spatial)  # measures kn2row
+    assert not conv._small(1, cout, (k,) * 3, spatial)  # measures the polyphase adjoint
     padded_out = [(n - 1) * 2 + k for n in spatial]
     dilated_im2col = cin * int(np.prod(padded_out)) * k**3 * x.data.itemsize
-    tracemalloc.start()
-    try:
-        out = ad.conv_transpose3d(x, w, stride=2, padding=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = _traced(lambda: ad.conv_transpose3d(x, w, stride=2, padding=1))
     assert out.shape == (1, cout, 16, 32, 64)
     assert peak < dilated_im2col / 4
 
@@ -262,93 +271,107 @@ def test_conv3d_stride1_peak_is_a_few_copies_of_its_input(rng):
     w = ad.Tensor(rng.standard_normal((cout, cin, k, k, k)))
     assert not conv._small(1, cin, (k,) * 3, spatial)  # measures kn2row
     padded = cin * int(np.prod([n + 2 for n in spatial])) * x.data.itemsize
-    tracemalloc.start()
-    try:
-        out = ad.conv3d(x, w, stride=1, padding=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = _traced(lambda: ad.conv3d(x, w, stride=1, padding=1))
     assert out.shape == (1, cout) + spatial
     assert peak < (k + 2) * padded
 
 
 def test_conv3d_stride1_input_grad_peak_is_a_few_copies_of_its_cotangent(rng):
     """Peak allocation of the input gradient of the stride-1 3x3x3 conv3d
-    above stays within (k + 3) copies of its padded cotangent: the stack of
-    the last axis's k taps, the padded grid it is built from, the output
-    grid and the result.  A padded result with a cropped copy would add
-    two more."""
+    above stays within (k + 2) copies of its padded cotangent: the result,
+    the padded grid and the stack of the last axis's k taps built from it.
+    The grid is freed before the output grid is allocated.  A padded result
+    with a cropped copy would add two more."""
     cin, cout, k, spatial = 8, 8, 3, (8, 32, 64)
     g = rng.standard_normal((1, cout) + spatial)
     w = rng.standard_normal((cout, cin, k, k, k))
     assert not conv._small(1, cin, (k,) * 3, spatial)  # measures kn2row
     padded = cout * int(np.prod([n + 2 for n in spatial])) * g.itemsize
-    tracemalloc.start()
-    try:
-        gx = conv._corr_input_grad(g, w, (1, 1, 1), (1, 1, 1), spatial)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    gx, peak = _traced(lambda: conv._corr_input_grad(g, w, (1, 1, 1), (1, 1, 1), spatial))
     assert gx.shape == (1, cin) + spatial
-    assert peak < (k + 3) * padded
+    assert peak < (k + 2) * padded
 
 
 def test_gather_peak_is_the_columns_plus_padded_input_and_result(rng):
-    """On the gather path each kernel of a strided 3x3x3 conv3d whose column
-    matrix nearly fills the budget holds at most the columns, the zero-padded
-    input grid and its result: no second copy of the columns.  The input
-    gradient is col2im's padded grid, filled tap by tap, and its crop."""
-    cin, cout, k, spatial, stride = 32, 16, 3, (4, 16, 32), (1, 2, 2)
-    osp = (4, 8, 16)
-    assert conv._COLUMNS // 2 < cin * k**3 * prod(osp) <= conv._COLUMNS
-    x = rng.standard_normal((1, cin) + spatial)
-    w = rng.standard_normal((cout, cin, k, k, k))
-    g = rng.standard_normal((1, cout) + osp)
-    one, pads = (1, 1, 1), ((1, 1),) * 3
-    columns = conv._COLUMNS * x.itemsize
-    padded = cin * prod(n + 2 for n in spatial) * x.itemsize
-    kernels = {
-        "forward": (lambda: conv._corr_forward(x, w, stride, pads), g.nbytes),
-        "kernel grad": (lambda: conv._corr_kernel_grad(x, g, stride, pads, w.shape[2:]), w.nbytes),
-        "input grad": (lambda: conv._corr_input_grad(g, w, stride, one, spatial), x.nbytes),
-    }
-    for name, (run, result) in kernels.items():
-        tracemalloc.start()
-        try:
-            out = run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out.nbytes == result
-        assert peak <= columns + padded + result, name
+    """On the gather path each kernel of a strided 3x3x3 conv3d holds at most
+    one tile's columns (the budget), the zero-padded input grid and its
+    result: no second copy of the columns.  The first conv's column matrix
+    nearly fills the budget, so it is one tile; its input gradient is
+    col2im's padded grid, filled tap by tap, and its crop.  The second's is
+    above the budget, so its forward and kernel gradient gather in tiles and
+    each tile's forward GEMM writes straight into its rows of the result."""
+    k, one, pads = 3, (1, 1, 1), ((1, 1),) * 3
+    cases = [
+        (32, 16, (4, 16, 32), (1, 2, 2), (4, 8, 16), True),
+        (8, 8, (16, 32, 64), (2, 2, 2), (8, 16, 32), False),
+    ]
+    for cin, cout, spatial, stride, osp, fits in cases:
+        assert conv._COLUMNS // 2 < cin * k**3 * prod(osp)
+        assert (cin * k**3 * prod(osp) <= conv._COLUMNS) == fits
+        x = rng.standard_normal((1, cin) + spatial)
+        w = rng.standard_normal((cout, cin, k, k, k))
+        g = rng.standard_normal((1, cout) + osp)
+        columns = conv._COLUMNS * x.itemsize
+        padded = cin * prod(n + 2 for n in spatial) * x.itemsize
+        kernels = {
+            "forward": (lambda: conv._corr_forward(x, w, stride, pads), g.nbytes),
+            "kernel grad": (lambda: conv._corr_kernel_grad(x, g, stride, pads, w.shape[2:]), w.nbytes),
+        }
+        if fits:
+            kernels["input grad"] = (lambda: conv._corr_input_grad(g, w, stride, one, spatial), x.nbytes)
+        for name, (run, result) in kernels.items():
+            out, peak = _traced(run)
+            assert out.nbytes == result
+            assert peak <= columns + padded + result, (name, spatial)
 
 
 def test_small_calls_gather_and_large_calls_take_kn2row(rng, monkeypatch):
     """At the default budget a conv whose columns fit runs its forward and both
-    gradients without the kn2row lowering; a decoder-sized one uses it."""
-    calls = []
-    real = conv._lowering
+    gradients without the kn2row lowering.  So does a decoder-sized stride-2
+    conv: its forward and kernel gradient gather in tiles of output rows, and
+    the stride-1 phases of its input gradient fit the budget.  A stride-1
+    conv of that size takes kn2row."""
+    calls, tiles = [], []
+    real, real_tiles = conv._lowering, conv._tiles
     monkeypatch.setattr(conv, "_lowering", lambda *a: calls.append(a) or real(*a))
+
+    def counted(*a):
+        tiles.append([])
+        for tile in real_tiles(*a):
+            tiles[-1].append(tile[0])
+            yield tile
+
+    monkeypatch.setattr(conv, "_tiles", counted)
     w = ad.Tensor(rng.standard_normal((8, 8, 3, 3, 3)), requires_grad=True)
     small = ad.Tensor(rng.standard_normal((1, 8, 4, 8, 8)), requires_grad=True)
     ad.backward(ad.tsum(ad.conv3d(small, w, None, 2, 1)))
     assert calls == [] and small.grad is not None and w.grad is not None
-    ad.conv3d(ad.Tensor(rng.standard_normal((1, 8, 8, 32, 64))), w, None, 1, 1)
+    tiles.clear()
+    large = ad.Tensor(rng.standard_normal((1, 8, 16, 32, 64)), requires_grad=True)
+    ad.backward(ad.tsum(ad.conv3d(large, w, None, 2, 1)))
+    assert calls == [] and large.grad is not None
+    forward, kernel_grad = tiles[0], tiles[-1]  # the input gradient runs in between
+    for rows in (forward, kernel_grad):
+        assert len(rows) > 1 and rows[0].start == 0 and rows[-1].stop >= 8
+    ad.conv3d(large, w, None, 1, 1)
     assert len(calls) == 1
 
 
 def test_corr_forward_with_negative_pads_matches_naive(rng, lowerings):
-    """The kn2row input gradient pads each stride phase's correlation per
+    """The polyphase input gradient pads each stride phase's correlation per
     side, negatively where the phase starts or ends inside the cotangent, and
-    at the default budget that correlation may gather its columns: both
-    lowerings drop a negative side's entries and zero-pad a positive one."""
+    that stride-1 correlation gathers or takes kn2row: both lowerings, at
+    stride 1 and 2, drop a negative side's entries and zero-pad a positive
+    one."""
     x = rng.standard_normal((2, 3, 7, 8))
     w = rng.standard_normal((2, 3, 3, 2))
-    want = conv2d_naive(np.pad(x[:, :, 1:, :-2], ((0, 0), (0, 0), (0, 2), (1, 0))), w, None, (2, 1))
-    for lowering in lowerings():
-        got = conv._corr_forward(x, w, (2, 1), ((-1, 2), (1, -2)))
-        assert got.shape == want.shape
-        assert np.allclose(got, want, rtol=0, atol=1e-12), lowering
+    padded = np.pad(x[:, :, 1:, :-2], ((0, 0), (0, 0), (0, 2), (1, 0)))
+    for stride in ((2, 1), (1, 1)):
+        want = conv2d_naive(padded, w, None, stride)
+        for lowering in lowerings():
+            got = conv._corr_forward(x, w, stride, ((-1, 2), (1, -2)))
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=0, atol=1e-12), (lowering, stride)
 
 
 @pytest.mark.parametrize("op", ["conv2d", "conv3d", "conv_transpose2d", "conv_transpose3d"])
