@@ -2,8 +2,9 @@
 
 Each operation produces a new :class:`Tensor` that remembers its parents and
 a backward rule.  :func:`backward` replays the recorded graph once in reverse
-topological order and accumulates gradients into every tensor that requires
-them.  Values are plain ``numpy`` arrays throughout; nothing here is lazy.
+topological order, accumulates gradients into every leaf that requires them
+and frees each node as it passes it.  Values are plain ``numpy`` arrays
+throughout; nothing here is lazy.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ class Tensor:
         leaf data between graph lifetimes).
     grad:
         Accumulated gradient, ``None`` until populated by :func:`backward`.
+        After a sweep only leaves (and tensors passed as ``ensure``) hold
+        one; an interior node drops its gradient once its rule has run.
     requires_grad:
         Whether gradients should flow into this tensor.
     """
@@ -163,16 +166,21 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 def backward(loss: Tensor, ensure: Iterable[Tensor] = ()) -> None:
     """Run one reverse pass from scalar `loss`.
 
-    Populates ``grad`` on every tensor that requires gradients and lies on a
-    path to `loss`.  Tensors in `ensure` that the sweep never reaches get an
-    explicit all-zero gradient so callers can treat every parameter uniformly.
-    A graph may be swept only once; a second call on the same loss raises.
+    Accumulates ``grad`` into every leaf that requires gradients and lies on
+    a path to `loss`.  The sweep frees the graph as it passes: once a node's
+    backward rule has run, the node drops its gradient, its rule (and with it
+    the activations the rule saved) and its parents, and is marked spent.
+    After the sweep only leaves, and the tensors in `ensure`, hold gradients.
+    Tensors in `ensure` that the sweep never reaches get an explicit all-zero
+    gradient so callers can treat every parameter uniformly.  A graph may be
+    swept only once: a sweep whose walk reaches a spent node, from the same
+    loss or from a new loss built on the old graph, raises before it writes
+    any gradient.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
-    if loss._spent:
-        raise GraphError("backward was already run for this graph; rebuild it first")
-    loss._spent = True
+    ensure = tuple(ensure)
+    keep = {id(t) for t in ensure}
 
     # Iterative post-order walk; graphs are deep enough that recursion is unsafe.
     topo: list[Tensor] = []
@@ -185,6 +193,8 @@ def backward(loss: Tensor, ensure: Iterable[Tensor] = ()) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._spent:
+            raise GraphError("backward reached a graph that was already swept; rebuild it first")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -192,24 +202,38 @@ def backward(loss: Tensor, ensure: Iterable[Tensor] = ()) -> None:
                 stack.append((parent, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is None or node.grad is None:
-            continue
-        parent_grads = node._backward(node.grad)
-        for parent, grad in zip(node._parents, parent_grads):
-            if grad is None or not parent.requires_grad:
-                continue
-            # a float64 node (say, the loss against float64 ground truth)
-            # hands a float32 parent a float32 gradient
-            grad = grad.astype(parent.data.dtype, copy=False)
-            if parent.grad is None:
-                parent.grad = grad
-            else:
-                parent.grad = parent.grad + grad
+    while topo:
+        _sweep(topo.pop(), keep)
 
     for tensor in ensure:
         if tensor.requires_grad and tensor.grad is None:
             tensor.grad = np.zeros_like(tensor.data)
+
+
+def _sweep(node: Tensor, keep: set[int]) -> None:
+    """Run an interior node's backward rule into its parents' gradients, then
+    free the node (its gradient too, unless its id is in `keep`).  A leaf
+    keeps its gradient.  What the rule saved or returned dies with this
+    frame, before the next node's rule runs."""
+    if node._backward is None:
+        return
+    node_grad, rule, parents = node.grad, node._backward, node._parents
+    if id(node) not in keep:
+        node.grad = None
+    node._backward, node._parents, node._spent = None, (), True
+    if node_grad is None:
+        return
+    for parent, grad in zip(parents, rule(node_grad)):
+        if grad is None or not parent.requires_grad:
+            continue
+        # a float64 node (say, the loss against float64 ground truth)
+        # hands a float32 parent a float32 gradient
+        grad = grad.astype(parent.data.dtype, copy=False)
+        if parent.grad is None:
+            parent.grad = grad
+        else:
+            # out of place: add's rule hands one array to both its parents
+            parent.grad = parent.grad + grad
 
 
 # -- elementwise arithmetic --------------------------------------------------

@@ -85,6 +85,50 @@ def test_backward_twice_rejected():
         ad.backward(out)
 
 
+def test_loss_on_a_swept_graph_rejected():
+    """A second loss that shares a swept subgraph, or is built on top of a
+    swept loss, raises before it writes any gradient.  Without the check the
+    shared node would feed the first loss's gradient (or, freed, none) into
+    the second sweep: x.grad would read 10 or 2 instead of 2 + 6 = 8."""
+    x = ad.Tensor([1.0], requires_grad=True)
+    y = ad.mul(x, 2.0)
+    l1 = ad.tsum(y)
+    l2 = ad.tsum(ad.mul(y, 3.0))
+    ad.backward(l1)
+    assert np.array_equal(x.grad, [2.0])
+    with pytest.raises(GraphError):
+        ad.backward(l2)
+    assert np.array_equal(x.grad, [2.0])
+    assert not l2._spent and l2.grad is None
+    on_top = ad.mul(l1, 2.0)
+    with pytest.raises(GraphError):
+        ad.backward(on_top)
+    assert np.array_equal(x.grad, [2.0])
+    assert not on_top._spent and on_top.grad is None
+
+
+def test_sweep_frees_every_interior_node():
+    """After a sweep the loss and every interior node hold no gradient, rule
+    or parents; leaves keep their gradients, and an ensured tensor that the
+    sweep never reached still gets zeros."""
+    x = ad.Tensor([1.0, -2.0], requires_grad=True)
+    w = ad.Tensor([3.0, 0.5], requires_grad=True)
+    unused = ad.Tensor([5.0], requires_grad=True)
+    h = ad.mul(x, w)
+    doubled = ad.add(h, h)  # hands one array to both parents
+    scaled = ad.mul(doubled, 0.1)
+    e = ad.exp(scaled)
+    loss = ad.tsum(e)
+    ad.backward(loss, ensure=(x, w, unused))
+    for node in (h, doubled, scaled, e, loss):
+        assert node._spent
+        assert node.grad is None and node._backward is None and node._parents == ()
+    want = 0.2 * np.exp(0.2 * x.data * w.data)
+    assert np.allclose(x.grad, w.data * want)
+    assert np.allclose(w.grad, x.data * want)
+    assert np.array_equal(unused.grad, np.zeros(1))
+
+
 def test_grad_accumulates_across_graphs():
     x = ad.Tensor([2.0], requires_grad=True)
     ad.backward(ad.tsum(ad.mul(x, 3.0)))

@@ -1,6 +1,7 @@
 """Adam updates, schedules, checkpoints, and the training loop."""
 
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -374,6 +375,31 @@ def test_default_train_step_runs_in_float32(monkeypatch):
         assert b.dtype == np.float32, name
     d0, d1 = model(sample.left, sample.right)
     assert d0.values.data.dtype == d1.values.data.dtype == np.float32
+
+
+def test_backward_frees_the_graph_of_a_default_step():
+    """tracemalloc over one default-config float32 train step at 64x128: the
+    sweep's peak stays within 1.25x the bytes live at the end of the forward
+    (measured 1.02; a sweep that keeps every interior gradient and saved
+    activation to its end reads 2.27), and afterwards little more than the
+    parameter gradients is live (measured 0.14 MB more; 17.5 MB more when
+    the sweep keeps them)."""
+    model = StereoModel(ModelConfig())
+    model.train()
+    params = [p for _, p in model.named_parameters()]
+    sample = synth_stereo(0, height=64, width=128, max_disparity=64, mode="slanted_planes")
+    tracemalloc.start()
+    try:
+        loss = sample_loss(model, sample)
+        forward_live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ad.backward(loss, ensure=params)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * forward_live, peak / forward_live
+    grad_bytes = sum(p.grad.nbytes for p in params)
+    assert after <= grad_bytes + 2**20, (after - grad_bytes) / 1e6
 
 
 def _default_step_in(dtype, seed, monkeypatch):
