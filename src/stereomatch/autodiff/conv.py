@@ -4,20 +4,17 @@ Everything runs on three kernels of one strided correlation: its forward, its
 kernel gradient and its input gradient (the exact adjoint of the forward).
 The transposed convolution *is* that adjoint applied as a forward op, so the
 inner-product identity ``<conv(x), y> == <x, conv_transpose(y)>`` holds up to
-roundoff.  The forward and the kernel gradient pick one of two lowerings to
-GEMMs by the stride and the column matrix, ``B·Ci·∏K·∏O`` elements:
+roundoff.
 
-* a stride-1 call above ``_COLUMNS`` elements (large maps, few channels) runs
-  kn2row / flat shift, with no im2col buffer: on the zero-padded input
-  flattened row-major each kernel tap reads one contiguous run, so with the
-  last axis's taps stacked once, each remaining tap is one GEMM accumulated on
-  the output grid (for the kernel gradient, with the cotangent on that grid).
-* every other call gathers its columns (im2col) from a window view of the
-  zero-padded input at the conv's own stride, in tiles of whole rows of the
-  first output axis, each at most ``_COLUMNS`` elements but at least one row.
-  Per tile, the forward is one GEMM with the kernel as a free [Co, Ci·∏K]
-  view, written into the tile's rows of the output, and the kernel gradient
-  one GEMM ``g·colsᵀ`` with the batch folded in, summed over the tiles.
+The forward and the kernel gradient gather their columns (im2col) from a
+window view of the zero-padded input at the conv's own stride, in tiles over
+the first two output axes of at most ``_COLUMNS`` elements each (the column
+matrix is ``B·Ci·∏K·∏O`` elements): whole rows of the first axis while one
+row fits, else one row and as many entries of the second axis as fit, at
+least one.  Per tile, the forward is one GEMM with the kernel as a free
+[Co, Ci·∏K] view, written into the tile's slice of the output, and the kernel
+gradient one GEMM ``g·colsᵀ`` with the batch folded in, summed over the
+tiles.
 
 The input gradient of a strided call whose columns fit ``_COLUMNS`` is col2im:
 ``Wᵀ·g``, then one strided add per tap into the padded input grid and a crop.
@@ -28,7 +25,6 @@ input position, so no multiply-add hits a structural zero.
 
 from __future__ import annotations
 
-import itertools
 from math import prod
 
 import numpy as np
@@ -44,13 +40,10 @@ __all__ = [
     "conv_transpose3d",
 ]
 
-# GEMM columns per kn2row block: every tap runs on one block before the next,
-# so the block's output and products stay in cache while they are summed.
-_BLOCK = 4096
-# Column-matrix elements (B·Ci·∏K·∏O), 2 MiB in float32: the most that one
-# gathered tile holds, and the size above which a stride-1 call takes kn2row,
-# whose GEMMs on views beat the gather for large maps with few channels.
-_COLUMNS = 1 << 19
+# Column-matrix elements (B·Ci·∏K·∏O), 512 KiB in float32: the most that one
+# gathered tile holds, so that a tile's gather and GEMM stay in cache, and the
+# most that col2im's column matrix holds.
+_COLUMNS = 1 << 17
 
 
 def _norm_tuple(value, n: int, name: str) -> tuple[int, ...]:
@@ -95,11 +88,12 @@ def _pad(x, pads):
 
 
 def _tiles(x, kshape, stride, pads, osp):
-    """Yield (rows, window) per tile of the im2col gather of x [B,C,*S],
-    zero-padded by pads.  rows is a slice of the first output axis, as many
-    rows as fit _COLUMNS but at least one, and window the read-only view
-    [B,C,*K,rows,*O[1:]] whose entry (b, c, k, o) is padded position o·s + k.
-    Copying a window gathers its tile's columns."""
+    """Yield (at, window) per tile of the im2col gather of x [B,C,*S],
+    zero-padded by pads.  at indexes the tile in the first two output axes:
+    as many whole rows of the first as fit _COLUMNS while one row fits, else
+    one row and as many entries of the second as fit, at least one.  window
+    is the read-only view [B,C,*K,*tile] whose entry (b, c, k, o) is padded
+    position o·s + k.  Copying a window gathers its tile's columns."""
     padded = _pad(x, pads)
     spatial = padded.strides[2:]
     view = as_strided(
@@ -108,104 +102,45 @@ def _tiles(x, kshape, stride, pads, osp):
         padded.strides[:2] + spatial + tuple(q * s for q, s in zip(spatial, stride)),
         writeable=False,
     )
-    step = max(1, _COLUMNS // (prod(x.shape[:2]) * prod(kshape) * prod(osp[1:])))
+    per = prod(x.shape[:2]) * prod(kshape) * prod(osp[2:])  # columns per entry of the second output axis
+    rows = _COLUMNS // (per * osp[1])
+    cols = osp[1] if rows else max(1, _COLUMNS // per)
+    rows = max(1, rows)
     lead = (slice(None),) * (2 + len(kshape))
-    for start in range(0, osp[0], step):
-        rows = slice(start, start + step)
-        yield rows, view[lead + (rows,)]
-
-
-def _lowering(x, kshape, pads):
-    """Flat-shift lowering (kn2row) of a stride-1 correlation of x [B,C,*S],
-    zero-padded by pads as in _pad, with a kernel of kshape: GEMMs on views,
-    no im2col.
-
-    The padded x is the grid P = O + K − 1.  On it, flattened row-major, the
-    tap (a, b, ..., c) reads the contiguous run from a·P1·P2 + b·P2 + c.
-    Stacking the last axis's k taps once (k shifted copies of the grid) makes
-    each leading tap one view `stack[:, :, o:o + span]` of [B, C·k, span] whose
-    inner axis pairs with `w[:, :, a, b, :]`; its column n is the output at
-    position n of the output grid [O0, P1, ..., P_last], where [:, :O1, ...]
-    is valid.  The padded grid is freed once the stack is built, before the
-    caller allocates its output grid.
-
-    Returns the output grid, the index of its valid part, the span, and the
-    list of (leading tap, view).
-    """
-    osp = _out_spatial(x.shape[2:], kshape, (1,) * len(kshape), pads)
-    grid = _pad(x, pads)
-    (b, c), spatial = grid.shape[:2], grid.shape[2:]
-    size = prod(spatial)
-    pitch = [prod(spatial[i + 1 :]) for i in range(len(spatial))]
-    span = 1 + sum((o - 1) * q for o, q in zip(osp, pitch))
-    k, length = kshape[-1], size - kshape[-1] + 1
-    flat = grid.reshape(b, c, size)
-    stack = np.empty((b, c, k, length), x.dtype)
-    for t in range(k):
-        stack[:, :, t] = flat[:, :, t : t + length]
-    del grid, flat  # only the stack stays alive while the GEMMs run
-    stack = stack.reshape(b, c * k, length)
-    views = []
-    for lead in itertools.product(*(range(n) for n in kshape[:-1])):
-        o = sum(a * q for a, q in zip(lead, pitch))
-        views.append((lead, stack[:, :, o : o + span]))
-    valid = (slice(None), slice(None)) + tuple(slice(o) for o in osp)
-    return (osp[0],) + spatial[1:], valid, span, views
+    for r in range(0, osp[0], rows):
+        for c in range(0, osp[1], cols):
+            at = (slice(r, r + rows), slice(c, c + cols))
+            yield at, view[lead + at]
 
 
 def _corr_forward(x, w, stride, pads) -> np.ndarray:
-    """Plain strided correlation of x [B,Ci,*S] with w [Co,Ci,*K] -> [B,Co,*O],
-    on the kn2row path returned as a view of the output grid."""
-    (b, c), co, kshape = x.shape[:2], len(w), w.shape[2:]
+    """Plain strided correlation of x [B,Ci,*S] with w [Co,Ci,*K] -> [B,Co,*O]."""
+    b, co, kshape = len(x), len(w), w.shape[2:]
     osp = _out_spatial(x.shape[2:], kshape, stride, pads)
-    dtype = np.result_type(x, w)
-    if max(stride) > 1 or _small(b, c, kshape, osp):
-        out = np.empty((b, co) + osp, dtype)
-        wm = w.reshape(co, -1)
-        for rows, window in _tiles(x, kshape, stride, pads, osp):
-            np.matmul(wm, window.reshape(b, wm.shape[1], -1), out=out[:, :, rows].reshape(b, co, -1))
-        return out
-    ogrid, valid, span, views = _lowering(x, kshape, pads)
-    acc = np.zeros((b, co) + ogrid, dtype)
-    flat = acc.reshape(b, co, -1)[:, :, :span]
-    gemms = [(w[(slice(None), slice(None)) + lead].reshape(co, -1), view) for lead, view in views]
-    for start in range(0, span, _BLOCK):
-        cols = slice(start, start + _BLOCK)
-        block = flat[:, :, cols]
-        for wt, view in gemms:
-            block += wt @ view[:, :, cols]
-    return acc[valid]
+    out = np.empty((b, co) + osp, np.result_type(x, w))
+    wm = w.reshape(co, -1)
+    for at, window in _tiles(x, kshape, stride, pads, osp):
+        # the tile's slice of out spans whole trailing axes, so this reshape is a view
+        dst = out[(slice(None),) * 2 + at].reshape(b, co, -1)
+        np.matmul(wm, window.reshape(b, wm.shape[1], -1), out=dst)
+    return out
 
 
 def _corr_kernel_grad(x, g, stride, pads, kshape) -> np.ndarray:
     """Gradient of the correlation above with respect to the kernel: per tile,
-    one GEMM of g with the gathered columns, or the kn2row loop with g
-    embedded on the output grid."""
+    one GEMM of g with the gathered columns, summed over the tiles."""
     (b, c), co, nsp = x.shape[:2], g.shape[1], len(kshape)
-    if max(stride) > 1 or _small(b, c, kshape, g.shape[2:]):
-        # columns ordered [Ci,*K,B,*O]: the batch folds into the GEMM's inner axis
-        order = (1, *range(2, 2 + nsp), 0, *range(2 + nsp, 2 + 2 * nsp))
-        parts = (
-            g[:, :, rows].swapaxes(0, 1).reshape(co, -1)
-            @ window.transpose(order).reshape(c * prod(kshape), -1).T
-            for rows, window in _tiles(x, kshape, stride, pads, g.shape[2:])
-        )
-        gw = next(parts)
-        for part in parts:
-            gw += part
-        return gw.reshape((co, c) + tuple(kshape))
-    ogrid, valid, span, views = _lowering(x, kshape, pads)
-    gg = np.zeros((b, co) + ogrid, np.result_type(x, g))
-    gg[valid] = g
-    gflat = gg.reshape(b, co, -1)[:, :, :span]
-    gw = np.zeros((co, c) + tuple(kshape), gg.dtype)
-    for start in range(0, span, _BLOCK):
-        cols = slice(start, start + _BLOCK)
-        block = gflat[:, :, cols]
-        for lead, view in views:
-            gemm = block @ view[:, :, cols].swapaxes(1, 2)
-            gw[(slice(None), slice(None)) + lead] += gemm.sum(axis=0).reshape(co, c, -1)
-    return gw
+    # columns ordered [Ci,*K,B,*O]: the batch folds into the GEMM's inner axis
+    order = (1, *range(2, 2 + nsp), 0, *range(2 + nsp, 2 + 2 * nsp))
+    parts = (
+        g[(slice(None),) * 2 + at].swapaxes(0, 1).reshape(co, -1)
+        @ window.transpose(order).reshape(c * prod(kshape), -1).T
+        for at, window in _tiles(x, kshape, stride, pads, g.shape[2:])
+    )
+    gw = next(parts)
+    for part in parts:
+        gw += part
+    return gw.reshape((co, c) + tuple(kshape))
 
 
 def _corr_input_grad(g, w, stride, padding, in_spatial) -> np.ndarray:
@@ -214,16 +149,16 @@ def _corr_input_grad(g, w, stride, padding, in_spatial) -> np.ndarray:
     A strided call whose columns fit the budget is col2im: the columns Wᵀ·g,
     each tap's added at every stride-th position of the padded input grid
     from the tap on, then the crop to the input.  Any other call is
-    polyphase, and a stride-1 call is its one phase, whose correlation may
-    gather.  Kernel taps r, r+s, r+2s, ... of an axis only reach padded
-    input positions r (mod s), so each stride phase r is one stride-1 full
-    correlation of g with its flipped, channel-swapped sub-kernel, whose entry
-    j lands on padded position r + s*j.  Per axis, the phase's correlation is
-    padded so that it yields exactly the entries j in [first, stop) that land
-    inside the input: lo = ksub - 1 - first zeros before g (negative when the
-    phase starts inside g) and hi = stop - O after it (negative when the
-    input ends before the full correlation does).  Each result is written
-    straight to its input positions; a tail that no tap reaches stays zero.
+    polyphase, and a stride-1 call is its one phase.  Kernel taps r, r+s,
+    r+2s, ... of an axis only reach padded input positions r (mod s), so each
+    stride phase r is one stride-1 full correlation of g with its flipped,
+    channel-swapped sub-kernel, whose entry j lands on padded position
+    r + s*j.  Per axis, the phase's correlation is padded so that it yields
+    exactly the entries j in [first, stop) that land inside the input:
+    lo = ksub - 1 - first zeros before g (negative when the phase starts
+    inside g) and hi = stop - O after it (negative when the input ends before
+    the full correlation does).  Each result is written straight to its input
+    positions; a tail that no tap reaches stays zero.
     """
     nsp, (b, co), kshape = len(in_spatial), g.shape[:2], w.shape[2:]
     keep, spatial = (slice(None), slice(None)), tuple(range(2, 2 + nsp))
@@ -299,7 +234,7 @@ def _conv(x, w, bias, stride, padding, nsp, op, transpose) -> Tensor:
     if transpose:
         out = _corr_input_grad(x.data, w.data, stride, padding, out_spatial)
     else:
-        out = np.ascontiguousarray(_corr_forward(x.data, w.data, stride, pads))
+        out = _corr_forward(x.data, w.data, stride, pads)
     if bias is not None:
         out += bias.data.reshape((1, -1) + (1,) * nsp)
 
@@ -307,7 +242,7 @@ def _conv(x, w, bias, stride, padding, nsp, op, transpose) -> Tensor:
         gx = None  # an input that needs no gradient, such as an image, gets none
         if transpose:
             if x.requires_grad:
-                gx = np.ascontiguousarray(_corr_forward(g, w.data, stride, pads))
+                gx = _corr_forward(g, w.data, stride, pads)
             gw = _corr_kernel_grad(g, x.data, stride, pads, kshape)
         else:
             if x.requires_grad:

@@ -49,6 +49,18 @@ def _next_token(data: bytes, pos: int) -> Tuple[bytes, int, int]:
     return data[start:pos], start, pos
 
 
+def _positive(tok: bytes, what: str, at: int) -> int:
+    """A header integer: at most 18 ASCII decimal digits, above zero.  int()
+    alone would also take a sign and '_' separators, and would raise
+    ValueError on more than 4300 digits."""
+    if not tok.isdigit() or len(tok) > 18 or not int(tok):
+        raise DataFormatError(
+            f"non-positive or non-decimal {what} {tok[:20]!r} at byte {at}: "
+            "expected a positive integer of at most 18 digits"
+        )
+    return int(tok)
+
+
 def write_pfm(field: np.ndarray, scale: float = -1.0) -> bytes:
     """Encode a 2-D field as grayscale PFM.
 
@@ -77,15 +89,9 @@ def read_pfm(data: bytes) -> Tuple[np.ndarray, float]:
             )
         raise DataFormatError(f"bad PFM magic {magic!r} at byte {start}")
     wtok, start, pos = _next_token(data, pos)
-    htok, hstart, pos = _next_token(data, pos)
-    try:
-        w, h = int(wtok), int(htok)
-    except ValueError:
-        raise DataFormatError(
-            f"non-integer PFM dimensions {wtok!r} {htok!r} at byte {start}"
-        ) from None
-    if w <= 0 or h <= 0:
-        raise DataFormatError(f"non-positive PFM dimensions {w}x{h} at byte {start}")
+    w = _positive(wtok, "PFM width", start)
+    htok, start, pos = _next_token(data, pos)
+    h = _positive(htok, "PFM height", start)
     stok, sstart, pos = _next_token(data, pos)
     try:
         scale = float(stok)
@@ -133,15 +139,12 @@ def _read_netpbm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
     tok, start, pos = _next_token(data, 0)
     if tok != magic:
         raise DataFormatError(f"bad magic {tok!r} at byte {start}, expected {magic!r}")
-    wtok, _, pos = _next_token(data, pos)
-    htok, _, pos = _next_token(data, pos)
+    wtok, start, pos = _next_token(data, pos)
+    w = _positive(wtok, "netpbm width", start)
+    htok, start, pos = _next_token(data, pos)
+    h = _positive(htok, "netpbm height", start)
     mtok, mstart, pos = _next_token(data, pos)
-    try:
-        w, h, maxval = int(wtok), int(htok), int(mtok)
-    except ValueError:
-        raise DataFormatError(f"non-integer netpbm header field near byte {mstart}") from None
-    if w <= 0 or h <= 0:
-        raise DataFormatError(f"non-positive netpbm dimensions {w}x{h} near byte {mstart}")
+    maxval = _positive(mtok, "netpbm maxval", mstart)
     if maxval != 255:
         raise DataFormatError(f"unsupported maxval {maxval} at byte {mstart}; only 255")
     pos += 1

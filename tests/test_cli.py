@@ -133,6 +133,10 @@ def test_infer_size_mismatch_exits_2(tmp_path, capsys):
                  id="ckpt-non-ascii-header"),
     pytest.param("left", b"P6 -1 4 255\n", "non-positive", id="ppm-negative-width"),
     pytest.param("left", b"P6 -2 -2 255\n" + bytes(12), "non-positive", id="ppm-negative-dims"),
+    pytest.param("left", b"P6\n1_0 +1\n2_55\n" + bytes(30), "non-decimal netpbm width",
+                 id="ppm-underscore-and-sign"),
+    pytest.param("gt", b"Pf\n+1 1_0\n-1.0\n" + bytes(40), "non-decimal PFM width",
+                 id="pfm-sign-and-underscore"),
 ])
 def test_infer_malformed_input_exits_2(tmp_path, capsys, target, blob, message):
     cfg = write_cfg(tmp_path)
@@ -142,8 +146,8 @@ def test_infer_malformed_input_exits_2(tmp_path, capsys, target, blob, message):
     left = str(bad) if target == "left" else str(bundle / "left.ppm")
     argv = ["infer", left, str(bundle / "right.ppm"), "--config", cfg,
             "--out", str(tmp_path / "out")]
-    if target == "checkpoint":
-        argv += ["--checkpoint", str(bad)]
+    if target in ("checkpoint", "gt"):
+        argv += [f"--{target}", str(bad)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

@@ -29,16 +29,16 @@ def rng():
 @pytest.fixture
 def lowerings(monkeypatch):
     """Iterate ``lowerings()`` to run a case once per lowering.  First the
-    column budget is 0: every stride-1 forward and kernel gradient takes
-    kn2row, every strided one gathers one output row per tile, and every input
-    gradient is polyphase.  Then the budget is above every test shape: every
-    forward and kernel gradient gathers in one tile, and a strided input
-    gradient is col2im.  So the oracles, the adjoint identity and the
-    gradchecks cover kn2row, multi-tile and one-tile gathers, col2im and the
+    column budget is 0: every forward and kernel gradient gathers one
+    (row, column) tile at a time, one entry of the first two output axes,
+    and every input gradient is polyphase.  Then the budget is above every
+    test shape: every forward and kernel gradient gathers in one tile, and a
+    strided input gradient is col2im.  So the oracles, the adjoint identity
+    and the gradchecks cover multi-tile and one-tile gathers, col2im and the
     polyphase adjoint.  Each step yields the lowering's name."""
 
     def each():
-        for name, budget in (("kn2row and row tiles", 0), ("one tile", 1 << 40)):
+        for name, budget in (("(row, column) tiles", 0), ("one tile", 1 << 40)):
             monkeypatch.setattr(conv, "_COLUMNS", budget)
             yield name
 
@@ -263,13 +263,13 @@ def test_conv_transpose3d_allocates_no_dilated_buffer(rng):
 
 def test_conv3d_stride1_peak_is_a_few_copies_of_its_input(rng):
     """Peak allocation of one stride-1 3x3x3 conv3d at a decoder-like shape
-    stays within (k + 2) copies of its padded input: the stack of the last
-    axis's k taps, the output grid and one GEMM product.  An im2col copy
-    would take k^3 copies."""
+    stays within (k + 2) copies of its padded input: the padded input, one
+    tile's columns (at most the budget) and the output.  An untiled im2col
+    copy would take k^3 copies."""
     cin, cout, k, spatial = 8, 8, 3, (8, 32, 64)
     x = ad.Tensor(rng.standard_normal((1, cin) + spatial))
     w = ad.Tensor(rng.standard_normal((cout, cin, k, k, k)))
-    assert not conv._small(1, cin, (k,) * 3, spatial)  # measures kn2row
+    assert not conv._small(1, cin, (k,) * 3, spatial)  # gathers in several tiles
     padded = cin * int(np.prod([n + 2 for n in spatial])) * x.data.itemsize
     out, peak = _traced(lambda: ad.conv3d(x, w, stride=1, padding=1))
     assert out.shape == (1, cout) + spatial
@@ -279,13 +279,13 @@ def test_conv3d_stride1_peak_is_a_few_copies_of_its_input(rng):
 def test_conv3d_stride1_input_grad_peak_is_a_few_copies_of_its_cotangent(rng):
     """Peak allocation of the input gradient of the stride-1 3x3x3 conv3d
     above stays within (k + 2) copies of its padded cotangent: the result,
-    the padded grid and the stack of the last axis's k taps built from it.
-    The grid is freed before the output grid is allocated.  A padded result
-    with a cropped copy would add two more."""
+    the padded cotangent, one tile's columns (at most the budget) and the
+    gathered correlation's output that is written into the result.  A padded
+    result with a cropped copy would add two more."""
     cin, cout, k, spatial = 8, 8, 3, (8, 32, 64)
     g = rng.standard_normal((1, cout) + spatial)
     w = rng.standard_normal((cout, cin, k, k, k))
-    assert not conv._small(1, cin, (k,) * 3, spatial)  # measures kn2row
+    assert not conv._small(1, cin, (k,) * 3, spatial)  # gathers in several tiles
     padded = cout * int(np.prod([n + 2 for n in spatial])) * g.itemsize
     gx, peak = _traced(lambda: conv._corr_input_grad(g, w, (1, 1, 1), (1, 1, 1), spatial))
     assert gx.shape == (1, cin) + spatial
@@ -293,21 +293,25 @@ def test_conv3d_stride1_input_grad_peak_is_a_few_copies_of_its_cotangent(rng):
 
 
 def test_gather_peak_is_the_columns_plus_padded_input_and_result(rng):
-    """On the gather path each kernel of a strided 3x3x3 conv3d holds at most
-    one tile's columns (the budget), the zero-padded input grid and its
-    result: no second copy of the columns.  The first conv's column matrix
-    nearly fills the budget, so it is one tile; its input gradient is
-    col2im's padded grid, filled tap by tap, and its crop.  The second's is
-    above the budget, so its forward and kernel gradient gather in tiles and
-    each tile's forward GEMM writes straight into its rows of the result."""
+    """On the gather path each kernel of a 3x3x3 conv3d holds at most one
+    tile's columns (the budget), the zero-padded input grid and its result:
+    no second copy of the columns.  The first conv's column matrix nearly
+    fills the budget, so it is one tile; its input gradient is col2im's
+    padded grid, filled tap by tap, and its crop.  The second's is above the
+    budget, so its forward and kernel gradient gather in tiles of output rows
+    and each tile's forward GEMM writes straight into its rows of the result.
+    The third is stride 1 and one output row is above the budget, so its
+    tiles split the second output axis."""
     k, one, pads = 3, (1, 1, 1), ((1, 1),) * 3
     cases = [
-        (32, 16, (4, 16, 32), (1, 2, 2), (4, 8, 16), True),
-        (8, 8, (16, 32, 64), (2, 2, 2), (8, 16, 32), False),
+        (32, 16, (2, 16, 16), (1, 2, 2), (2, 8, 8), True),
+        (8, 8, (8, 32, 64), (2, 2, 2), (4, 16, 32), False),
+        (8, 8, (4, 32, 64), one, (4, 32, 64), False),
     ]
     for cin, cout, spatial, stride, osp, fits in cases:
         assert conv._COLUMNS // 2 < cin * k**3 * prod(osp)
         assert (cin * k**3 * prod(osp) <= conv._COLUMNS) == fits
+        assert (cin * k**3 * prod(osp[1:]) > conv._COLUMNS) == (stride == one)
         x = rng.standard_normal((1, cin) + spatial)
         w = rng.standard_normal((cout, cin, k, k, k))
         g = rng.standard_normal((1, cout) + osp)
@@ -325,44 +329,41 @@ def test_gather_peak_is_the_columns_plus_padded_input_and_result(rng):
             assert peak <= columns + padded + result, (name, spatial)
 
 
-def test_small_calls_gather_and_large_calls_take_kn2row(rng, monkeypatch):
-    """At the default budget a conv whose columns fit runs its forward and both
-    gradients without the kn2row lowering.  So does a decoder-sized stride-2
-    conv: its forward and kernel gradient gather in tiles of output rows, and
-    the stride-1 phases of its input gradient fit the budget.  A stride-1
-    conv of that size takes kn2row."""
-    calls, tiles = [], []
-    real, real_tiles = conv._lowering, conv._tiles
-    monkeypatch.setattr(conv, "_lowering", lambda *a: calls.append(a) or real(*a))
+def test_infer_sized_stride1_conv_gathers_in_tiles_that_split_the_second_axis(rng, monkeypatch):
+    """At the default budget one output row of an infer-sized stride-1
+    conv3d, a whole 64x128 plane, is above the budget.  So its forward, its
+    input gradient (the one phase of the polyphase adjoint) and its kernel
+    gradient each gather in tiles of one row and part of the second output
+    axis.  Each tile holds at most the budget of columns, and the tiles cover
+    every output position exactly once."""
+    calls, real = [], conv._tiles
 
     def counted(*a):
-        tiles.append([])
-        for tile in real_tiles(*a):
-            tiles[-1].append(tile[0])
-            yield tile
+        calls.append([])
+        for at, window in real(*a):
+            calls[-1].append((at, window.size))
+            yield at, window
 
     monkeypatch.setattr(conv, "_tiles", counted)
-    w = ad.Tensor(rng.standard_normal((8, 8, 3, 3, 3)), requires_grad=True)
-    small = ad.Tensor(rng.standard_normal((1, 8, 4, 8, 8)), requires_grad=True)
-    ad.backward(ad.tsum(ad.conv3d(small, w, None, 2, 1)))
-    assert calls == [] and small.grad is not None and w.grad is not None
-    tiles.clear()
-    large = ad.Tensor(rng.standard_normal((1, 8, 16, 32, 64)), requires_grad=True)
-    ad.backward(ad.tsum(ad.conv3d(large, w, None, 2, 1)))
-    assert calls == [] and large.grad is not None
-    forward, kernel_grad = tiles[0], tiles[-1]  # the input gradient runs in between
-    for rows in (forward, kernel_grad):
-        assert len(rows) > 1 and rows[0].start == 0 and rows[-1].stop >= 8
-    ad.conv3d(large, w, None, 1, 1)
-    assert len(calls) == 1
+    x = ad.Tensor(rng.standard_normal((1, 8, 16, 64, 128)).astype(np.float32), requires_grad=True)
+    w = ad.Tensor(rng.standard_normal((8, 8, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    ad.backward(ad.tsum(ad.conv3d(x, w, None, 1, 1)))
+    assert x.grad is not None and w.grad is not None
+    assert len(calls) == 3
+    for tiles in calls:
+        cover = np.zeros((16, 64), int)
+        for at, columns in tiles:
+            assert columns <= conv._COLUMNS
+            assert len(range(16)[at[0]]) == 1 and len(range(64)[at[1]]) < 64
+            cover[at] += 1
+        assert (cover == 1).all()
 
 
 def test_corr_forward_with_negative_pads_matches_naive(rng, lowerings):
     """The polyphase input gradient pads each stride phase's correlation per
-    side, negatively where the phase starts or ends inside the cotangent, and
-    that stride-1 correlation gathers or takes kn2row: both lowerings, at
-    stride 1 and 2, drop a negative side's entries and zero-pad a positive
-    one."""
+    side, negatively where the phase starts or ends inside the cotangent:
+    the gather, in one tile and in (row, column) tiles, at stride 1 and 2,
+    drops a negative side's entries and zero-pads a positive one."""
     x = rng.standard_normal((2, 3, 7, 8))
     w = rng.standard_normal((2, 3, 3, 2))
     padded = np.pad(x[:, :, 1:, :-2], ((0, 0), (0, 0), (0, 2), (1, 0)))

@@ -117,6 +117,20 @@ class TestNetpbm:
             write_pgm(np.zeros((2, 2, 3), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("read,blob", [
+    (read_ppm, b"P6\n1_0 +1\n2_55\n" + bytes(30)),
+    (read_pgm, b"P5\n+2 2\n255\n" + bytes(4)),
+    (read_pfm, b"Pf\n+1 1_0\n-1.0\n" + bytes(40)),
+    (read_pfm, b"Pf\n" + b"1" * 5000 + b" 1\n-1.0\n"),
+], ids=["ppm", "pgm", "pfm", "pfm-5000-digits"])
+def test_header_integers_are_plain_decimal(read, blob):
+    """int() would read a sign or a '_' separator in a header integer, so
+    the first three headers would decode as valid images, and it raises
+    ValueError on 5000 digits; each names its bad field."""
+    with pytest.raises(DataFormatError, match="non-decimal"):
+        read(blob)
+
+
 class TestSampleBundle:
     def test_roundtrip(self, tmp_path):
         sample = synth_stereo(3, height=32, width=64, max_disparity=16, mode="blobs")
