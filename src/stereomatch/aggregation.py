@@ -66,7 +66,6 @@ class ContextGeometryFusion(nn.Module):
 
     def __init__(self, geom_channels: int, ctx_channels: int, kernel: int,
                  rng: np.random.Generator):
-        super().__init__()
         k = (1, kernel, kernel)
         self.project = nn.Conv(ctx_channels, geom_channels, (1, 1), rng, bias=False)
         self.attend = nn.Conv(geom_channels, geom_channels, k, rng)
@@ -96,7 +95,6 @@ class _DownsampleBlock(nn.Module):
     """conv3d k=3 s=2 then conv3d k=3 s=1, each + BatchNorm + leaky ReLU."""
 
     def __init__(self, in_ch, out_ch, rng):
-        super().__init__()
         self.down = nn.ConvBnLeaky(in_ch, out_ch, (3, 3, 3), rng, stride=2)
         self.post = nn.ConvBnLeaky(out_ch, out_ch, (3, 3, 3), rng)
 
@@ -109,7 +107,6 @@ class _UpsampleBlock(nn.Module):
     skip, two conv3d k=3 s=1 blocks refine the merged volume."""
 
     def __init__(self, in_ch, out_ch, rng):
-        super().__init__()
         self.up = nn.Conv(in_ch, out_ch, (4, 4, 4), rng, stride=2, padding=1, bias=False,
                           transpose=True)
         self.up_bn = nn.BatchNorm(out_ch)
@@ -126,7 +123,6 @@ class _UpsampleBlock(nn.Module):
 class Encoder(nn.Module):
     def __init__(self, base_channels: int, ctx_channels: tuple[int, int, int],
                  cfg: CgfConfig, rng: np.random.Generator):
-        super().__init__()
         cfg.validate()
         self.cfg = cfg
         c = base_channels
@@ -160,7 +156,6 @@ class Encoder(nn.Module):
 class Decoder(nn.Module):
     def __init__(self, base_channels: int, ctx_channels: tuple[int, int, int],
                  cfg: CgfConfig, rng: np.random.Generator):
-        super().__init__()
         cfg.validate()
         self.cfg = cfg
         c = base_channels

@@ -19,8 +19,9 @@ tiles.
 The input gradient of a strided call whose columns fit ``_COLUMNS`` is col2im:
 ``Wᵀ·g``, then one strided add per tap into the padded input grid and a crop.
 Any other input gradient is polyphase: one stride-1 correlation per stride
-phase (a stride-1 call is the one phase), written straight to every stride-th
-input position, so no multiply-add hits a structural zero.
+phase, written straight to every stride-th input position, so no multiply-add
+hits a structural zero.  A stride-1 call is the one phase, and its
+correlation is the result.
 """
 
 from __future__ import annotations
@@ -158,7 +159,8 @@ def _corr_input_grad(g, w, stride, padding, in_spatial) -> np.ndarray:
     lo = ksub - 1 - first zeros before g (negative when the phase starts
     inside g) and hi = stop - O after it (negative when the input ends before
     the full correlation does).  Each result is written straight to its input
-    positions; a tail that no tap reaches stays zero.
+    positions; a tail that no tap reaches stays zero.  The one phase of a
+    stride-1 call covers the input, so its correlation is the result.
     """
     nsp, (b, co), kshape = len(in_spatial), g.shape[:2], w.shape[2:]
     keep, spatial = (slice(None), slice(None)), tuple(range(2, 2 + nsp))
@@ -174,6 +176,9 @@ def _corr_input_grad(g, w, stride, padding, in_spatial) -> np.ndarray:
         return np.ascontiguousarray(
             grid[keep + tuple(slice(p, p + n) for p, n in zip(padding, in_spatial))]
         )
+    if max(stride) == 1:  # first = p and stop = p + n on every axis
+        pads = [(k - 1 - p,) * 2 for k, p in zip(kshape, padding)]
+        return _corr_forward(g, np.flip(w, axis=spatial).swapaxes(0, 1), stride, pads)
     out = np.zeros(g.shape[:1] + w.shape[1:2] + tuple(in_spatial), np.result_type(g, w))
     for phase in np.ndindex(*(min(s, k) for s, k in zip(stride, w.shape[2:]))):
         pads, at = [], []

@@ -52,7 +52,6 @@ class _Block(nn.Module):
     checkpoint entries keep their `stages.<i>.0.body.*` names."""
 
     def __init__(self, in_ch, out_ch, rng):
-        super().__init__()
         self.body = nn.ConvBnLeaky(in_ch, out_ch, (3, 3), rng, stride=2)
 
     def forward(self, x):
@@ -64,7 +63,6 @@ class Backbone(nn.Module):
     yielding features at 1/4, 1/8, 1/16, 1/32 resolution."""
 
     def __init__(self, cfg: BackboneConfig, rng: np.random.Generator):
-        super().__init__()
         cfg.validate()
         self.stem = nn.ConvBnLeaky(3, cfg.stem_channels, (3, 3), rng, stride=2)
         ins = (cfg.stem_channels,) + cfg.channels[:-1]
@@ -96,7 +94,6 @@ class MergeUpsample(nn.Module):
     parameters produce an all-zero refined pyramid."""
 
     def __init__(self, cfg: BackboneConfig, rng: np.random.Generator):
-        super().__init__()
         c4, c8, c16, c32 = cfg.channels
         self.top = nn.ConvBnLeaky(c32, c32, (3, 3), rng)
         self.up16 = nn.Conv(c32, c16, (4, 4), rng, stride=2, padding=1, transpose=True)

@@ -94,7 +94,6 @@ class CorrelationLift(nn.Module):
     a per-disparity-slice 3x3 conv (kernel 1x3x3) + BatchNorm + leaky ReLU."""
 
     def __init__(self, cfg: MatchingConfig, rng: np.random.Generator):
-        super().__init__()
         self.block = nn.ConvBnLeaky(1, cfg.corr_channels, (1, 3, 3), rng)
 
     def forward(self, volume: Tensor) -> Tensor:
@@ -112,7 +111,6 @@ class AttentionFeatureVolume(nn.Module):
     """
 
     def __init__(self, feature_channels: int, cfg: MatchingConfig, rng: np.random.Generator):
-        super().__init__()
         self.project = nn.Conv(feature_channels, cfg.corr_channels, (1, 1), rng, bias=False)
 
     def forward(self, a_corr: Tensor, f_l: Tensor) -> Tensor:

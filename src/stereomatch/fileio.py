@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 from typing import BinaryIO, Iterator, Tuple
 
 import numpy as np
@@ -18,6 +19,8 @@ from .autodiff import Tensor
 from .errors import DataFormatError, ShapeError
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+# a PFM scale: float() alone would also take '_' separators, "inf" and "nan"
+_DECIMAL = re.compile(rb"[+-]?[0-9]+(\.[0-9]+)?(e[+-]?[0-9]+)?")
 
 
 @contextlib.contextmanager
@@ -93,14 +96,11 @@ def read_pfm(data: bytes) -> Tuple[np.ndarray, float]:
     htok, start, pos = _next_token(data, pos)
     h = _positive(htok, "PFM height", start)
     stok, sstart, pos = _next_token(data, pos)
-    try:
-        scale = float(stok)
-    except ValueError:
-        raise DataFormatError(f"bad PFM scale {stok!r} at byte {sstart}") from None
+    scale = float(stok) if _DECIMAL.fullmatch(stok) else np.nan
     if scale == 0.0:
         raise DataFormatError(f"zero PFM scale at byte {sstart}")
     if not np.isfinite(scale):
-        raise DataFormatError(f"non-finite PFM scale {stok!r} at byte {sstart}")
+        raise DataFormatError(f"non-decimal or non-finite PFM scale {stok!r} at byte {sstart}")
     pos += 1  # exactly one whitespace byte separates header from payload
     need = w * h * 4
     have = len(data) - pos

@@ -60,7 +60,6 @@ class StereoModel(nn.Module):
     """
 
     def __init__(self, config: ModelConfig):
-        super().__init__()
         config.validate()
         self.config = config
         rng = np.random.default_rng(config.seed)

@@ -1,4 +1,4 @@
-"""Minimal layer system: modules, parameter registration, common layers.
+"""Minimal layer system: modules whose state is their attributes; common layers.
 
 Parameters are initialized uniformly in ``[-b, b]`` with ``b = sqrt(1/fan_in)``
 from an explicitly passed ``numpy.random.Generator``, so a model built twice
@@ -31,29 +31,15 @@ def uniform_fan_in(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int
 
 
 class Module:
-    """Base class with torch-style attribute registration: an attribute that
-    holds a `Parameter` is a parameter, one that holds a `Module` is a child,
+    """Base class whose state is its own attributes, walked in the order they
+    were first assigned: an attribute holding a `Parameter` is a parameter,
+    one holding a numpy array is a buffer, one holding a `Module` is a child,
     and entry i of a list attribute `name` is the child `name.i`, recursively
-    for nested lists.  Tuples are not registered."""
+    for nested lists.  Anything else, tuples included, is not state."""
 
-    def __init__(self):
-        object.__setattr__(self, "_params", {})
-        object.__setattr__(self, "_buffers", {})
-        object.__setattr__(self, "_children", {})
-        object.__setattr__(self, "training", True)
+    training = True
 
-    def __setattr__(self, name, value):
-        # a reassigned name leaves the registry that no longer holds its kind;
-        # one reassigned within its kind keeps its place in the state order
-        if not isinstance(value, Parameter):
-            self._params.pop(name, None)
-        if not isinstance(value, (Module, list)):
-            self._children.pop(name, None)
-        if isinstance(value, Parameter):
-            self._params[name] = value
-        elif isinstance(value, (Module, list)):
-            self._children[name] = value
-        object.__setattr__(self, name, value)
+    # -- traversal ----------------------------------------------------------
 
     def named_children(self) -> Iterator[tuple[str, "Module"]]:
         """Child modules by name, list entries flattened in list order."""
@@ -67,31 +53,25 @@ class Module:
             else:
                 raise TypeError(f"{name} holds a {type(value).__name__}, not a Module")
 
-        for name, value in self._children.items():
-            yield from walk(name, value)
+        for name, value in vars(self).items():
+            if isinstance(value, (Module, list)):
+                yield from walk(name, value)
 
-    def register_buffer(self, name: str, array: np.ndarray) -> None:
-        """Track a non-trainable array (e.g. running statistics) as state."""
-        array = np.asarray(array, dtype=np.float64)
-        self._buffers[name] = array
-        object.__setattr__(self, name, array)
-
-    # -- traversal ----------------------------------------------------------
-
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
-        for name, p in self._params.items():
-            yield prefix + name, p
+    def _named(self, kind, prefix=""):
+        for name, value in vars(self).items():
+            if isinstance(value, kind):
+                yield prefix + name, value
         for cname, child in self.named_children():
-            yield from child.named_parameters(prefix + cname + ".")
+            yield from child._named(kind, prefix + cname + ".")
+
+    def named_parameters(self) -> Iterator[tuple[str, Parameter]]:
+        return self._named(Parameter)
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 
-    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        for name, b in self._buffers.items():
-            yield prefix + name, b
-        for cname, child in self.named_children():
-            yield from child.named_buffers(prefix + cname + ".")
+    def named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
+        return self._named(np.ndarray)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Parameters and buffers, keyed by dotted path, in a stable order."""
@@ -103,11 +83,11 @@ class Module:
     def cast(self, dtype) -> "Module":
         """Convert every parameter and buffer, here and in every child, to
         dtype; the new arrays replace the old ones."""
-        for p in self._params.values():
-            p.data = p.data.astype(dtype)
-        for name, b in self._buffers.items():
-            self._buffers[name] = b.astype(dtype)
-            object.__setattr__(self, name, self._buffers[name])
+        for name, value in vars(self).items():
+            if isinstance(value, Parameter):
+                value.data = value.data.astype(dtype)
+            elif isinstance(value, np.ndarray):
+                setattr(self, name, value.astype(dtype))
         for _, child in self.named_children():
             child.cast(dtype)
         return self
@@ -118,7 +98,7 @@ class Module:
     # -- mode / grads -------------------------------------------------------
 
     def train(self, mode: bool = True) -> "Module":
-        object.__setattr__(self, "training", mode)
+        self.training = mode
         for _, child in self.named_children():
             child.train(mode)
         return self
@@ -150,7 +130,6 @@ class Conv(Module):
 
     def __init__(self, in_ch, out_ch, kernel, rng, stride=1, padding=None, bias=True,
                  transpose=False):
-        super().__init__()
         kernel = tuple(kernel)
         self.op = f"conv_transpose{len(kernel)}d" if transpose else f"conv{len(kernel)}d"
         self.stride = stride
@@ -170,11 +149,10 @@ class BatchNorm(Module):
     activations."""
 
     def __init__(self, channels: int):
-        super().__init__()
         self.gamma = Parameter(np.ones(channels))
         self.beta = Parameter(np.zeros(channels))
-        self.register_buffer("running_mean", np.zeros(channels))
-        self.register_buffer("running_var", np.ones(channels))
+        self.running_mean = np.zeros(channels)
+        self.running_var = np.ones(channels)
 
     def forward(self, x):
         return ad.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
@@ -186,7 +164,6 @@ class ConvBnLeaky(Module):
     norm would cancel a bias anyway)."""
 
     def __init__(self, in_ch, out_ch, kernel, rng, stride=1):
-        super().__init__()
         self.conv = Conv(in_ch, out_ch, kernel, rng, stride, bias=False)
         self.bn = BatchNorm(out_ch)
 

@@ -130,7 +130,6 @@ class SuperpixelUpsample(nn.Module):
     HIDDEN = 32  # channels between the two convs
 
     def __init__(self, ctx_channels: int, rng: np.random.Generator):
-        super().__init__()
         self.conv1 = nn.Conv(ctx_channels, self.HIDDEN, (3, 3), rng)
         self.conv2 = nn.Conv(self.HIDDEN, 9 * self.SCALE * self.SCALE, (3, 3), rng)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DataFormatError, ShapeError
-from .fileio import atomic_write
+from .fileio import _positive, atomic_write
 from .losses import total_loss, upsample_disparity
 from .metrics import MetricsReport, evaluate
 from .model import StereoModel
@@ -222,7 +222,7 @@ _CHECKPOINT_MAGIC = b"STCKPT1\n"
 
 def save_checkpoint(model: StereoModel, path: str) -> None:
     """Parameters and normalization buffers as named little-endian float64
-    arrays, whatever the model's dtype, in registration order.  An existing
+    arrays, whatever the model's dtype, in `state_arrays` order.  An existing
     file at `path` is replaced only once the whole checkpoint is written."""
     arrays = model.state_arrays()
     with atomic_write(path) as f:
@@ -245,15 +245,12 @@ def load_checkpoint(model: StereoModel, path: str) -> None:
     with open(path, "rb") as f:
         if f.read(len(_CHECKPOINT_MAGIC)) != _CHECKPOINT_MAGIC:
             raise DataFormatError(f"{path}: not a checkpoint file")
-        try:
-            count = int(f.readline())
-        except ValueError:
-            raise DataFormatError(f"{path}: entry count is not an integer") from None
+        count = _positive(f.readline().strip(), f"entry count of {path}", len(_CHECKPOINT_MAGIC))
         for _ in range(count):
             line = f.readline()
-            try:  # ValueError also covers non-ASCII bytes and an empty header
+            try:  # ValueError also covers a bad dim, non-ASCII bytes and an empty header
                 name, *dims = line.decode("ascii").split()
-                shape = tuple(int(d) for d in dims)
+                shape = tuple(_positive(d, "dim", f.tell() - len(line)) for d in dims)
             except ValueError:
                 raise DataFormatError(f"{path}: malformed entry header {line[:60]!r}") from None
             if name not in arrays:

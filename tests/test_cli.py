@@ -137,6 +137,8 @@ def test_infer_size_mismatch_exits_2(tmp_path, capsys):
                  id="ppm-underscore-and-sign"),
     pytest.param("gt", b"Pf\n+1 1_0\n-1.0\n" + bytes(40), "non-decimal PFM width",
                  id="pfm-sign-and-underscore"),
+    pytest.param("gt", b"Pf\n64 32\n-1_0\n" + bytes(4 * 64 * 32),
+                 "non-decimal or non-finite PFM scale", id="pfm-scale-underscore"),
 ])
 def test_infer_malformed_input_exits_2(tmp_path, capsys, target, blob, message):
     cfg = write_cfg(tmp_path)

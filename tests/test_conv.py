@@ -278,10 +278,10 @@ def test_conv3d_stride1_peak_is_a_few_copies_of_its_input(rng):
 
 def test_conv3d_stride1_input_grad_peak_is_a_few_copies_of_its_cotangent(rng):
     """Peak allocation of the input gradient of the stride-1 3x3x3 conv3d
-    above stays within (k + 2) copies of its padded cotangent: the result,
-    the padded cotangent, one tile's columns (at most the budget) and the
-    gathered correlation's output that is written into the result.  A padded
-    result with a cropped copy would add two more."""
+    above stays within (k + 2) copies of its padded cotangent: the padded
+    cotangent, one tile's columns (at most the budget) and the gathered
+    correlation, which is the result.  A padded result with a cropped copy
+    would add two more."""
     cin, cout, k, spatial = 8, 8, 3, (8, 32, 64)
     g = rng.standard_normal((1, cout) + spatial)
     w = rng.standard_normal((cout, cin, k, k, k))
@@ -290,6 +290,19 @@ def test_conv3d_stride1_input_grad_peak_is_a_few_copies_of_its_cotangent(rng):
     gx, peak = _traced(lambda: conv._corr_input_grad(g, w, (1, 1, 1), (1, 1, 1), spatial))
     assert gx.shape == (1, cin) + spatial
     assert peak < (k + 2) * padded
+
+
+def test_stride1_input_grad_returns_its_one_correlation(rng):
+    """A stride-1 input gradient is one correlation whose output is the
+    result: its peak is one tile's columns, the padded cotangent and the
+    result, with no zeroed result for the correlation to be copied into."""
+    cin, cout, k, spatial = 8, 8, 3, (8, 32, 64)
+    g = rng.standard_normal((1, cout) + spatial).astype(np.float32)
+    w = rng.standard_normal((cout, cin, k, k, k)).astype(np.float32)
+    padded = cout * prod(n + 2 for n in spatial) * g.itemsize
+    gx, peak = _traced(lambda: conv._corr_input_grad(g, w, (1, 1, 1), (1, 1, 1), spatial))
+    assert gx.shape == (1, cin) + spatial and gx.dtype == np.float32
+    assert peak <= conv._COLUMNS * g.itemsize + padded + gx.nbytes
 
 
 def test_gather_peak_is_the_columns_plus_padded_input_and_result(rng):

@@ -74,6 +74,12 @@ class TestPfm:
         with pytest.raises(DataFormatError, match="non-finite"):
             read_pfm(b"Pf\n1 1\n" + token + b"\n" + b"\x00" * 4)
 
+    def test_scale_is_plain_decimal(self):
+        """float() would read '-1_0' as -10.0; the scale takes only
+        [sign]digits[.digits][e[sign]digits]."""
+        with pytest.raises(DataFormatError, match="non-decimal"):
+            read_pfm(b"Pf\n1 1\n-1_0\n" + b"\x00" * 4)
+
     def test_bad_dimensions_rejected(self):
         with pytest.raises(DataFormatError):
             read_pfm(b"Pf\nx 1\n-1.0\n")

@@ -1,9 +1,12 @@
 """Whole-pipeline composition: shapes, determinism, config plumbing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from stereomatch import autodiff as ad
+from stereomatch.aggregation import CgfConfig
 from stereomatch.backbone import BackboneConfig
 from stereomatch.correlation import MatchingConfig
 from stereomatch.errors import ConfigError, ShapeError
@@ -96,3 +99,24 @@ def test_every_parameter_receives_gradient():
     ad.backward(loss, ensure=params)
     for name, p in model.named_parameters():
         assert p.grad is not None and np.any(p.grad != 0.0), name
+
+
+@pytest.mark.parametrize("config,count,first_buffer,digest", [
+    pytest.param(ModelConfig(), 161, 105, "e6025fa56fd09da7", id="default"),
+    pytest.param(ModelConfig(seed=3, cgf=CgfConfig(positions=("encoder", "decoder"))),
+                 185, 123, "b5db7273276cc06f", id="cgf-encoder-decoder"),
+])
+def test_state_order_is_pinned(config, count, first_buffer, digest):
+    """Checkpoints store the state in this order, so changing it breaks every
+    saved checkpoint: every parameter in module order, children after their
+    parent's own entries, then every buffer in the same walk.  The digest is
+    the sha256 prefix of the names joined by newlines."""
+    names = list(StereoModel(config).state_arrays())
+    assert len(names) == count
+    assert names[:3] == ["backbone.stem.conv.weight", "backbone.stem.bn.gamma",
+                         "backbone.stem.bn.beta"]
+    assert "running" not in names[first_buffer - 1]
+    assert names[first_buffer:first_buffer + 2] == [
+        "backbone.stem.bn.running_mean", "backbone.stem.bn.running_var"]
+    assert names[-1] == "decoder.up3.refine2.bn.running_var"
+    assert hashlib.sha256("\n".join(names).encode()).hexdigest()[:16] == digest

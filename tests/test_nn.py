@@ -1,4 +1,4 @@
-"""Module registration, initialization, and layer wiring."""
+"""Module state, initialization, and layer wiring."""
 
 import numpy as np
 import pytest
@@ -34,7 +34,7 @@ class _Holder(nn.Module):
         self.head = nn.ConvBnLeaky(1, 2, (3, 3), rng)
         self.flat = [nn.Conv(2, 2, (1, 1), rng) for _ in range(2)]
         self.nested = [[nn.ConvBnLeaky(2, 2, (1, 1), rng)], []]
-        self.padding = (nn.Conv(2, 2, (1, 1), rng),)  # tuples are not registered
+        self.padding = (nn.Conv(2, 2, (1, 1), rng),)  # tuples are not state
 
 
 def test_train_eval_recurses():
@@ -129,7 +129,7 @@ def test_module_list():
         "nested.0.0.bn.running_mean", "nested.0.0.bn.running_var",
     ]
     assert holder.param_count() == (2 * 9 + 2 + 2) + 2 * (4 + 2) + (4 + 2 + 2)
-    # an entry appended after assignment is registered too
+    # an entry appended after assignment is state too
     holder.flat.append(nn.Conv(2, 2, (1, 1), rng))
     assert "flat.2.weight" in holder.state_arrays()
     holder.flat.append(3)
@@ -139,9 +139,10 @@ def test_module_list():
 
 
 def test_reassigned_attribute_leaves_the_state():
-    """Reassigning an attribute unregisters what it held: a parameter set to
+    """Reassigning an attribute drops what it held: a parameter set to
     None, a module replaced by a list and a list set to None leave no state
-    behind, while a parameter replaced by a parameter keeps its place."""
+    behind, while a name set to a parameter again keeps the place of its
+    first assignment."""
     rng = np.random.default_rng(7)
     m = nn.Module()
     m.w = nn.Parameter(np.ones(2))
@@ -155,7 +156,7 @@ def test_reassigned_attribute_leaves_the_state():
     assert list(m.state_arrays()) == ["v"]
     m.w = nn.Parameter(np.ones(1))
     m.v = nn.Parameter(np.ones(3))
-    assert list(m.state_arrays()) == ["v", "w"] and m.param_count() == 4
+    assert list(m.state_arrays()) == ["w", "v"] and m.param_count() == 4
 
 
 @pytest.mark.parametrize("op", ["conv2d", "conv3d", "conv_transpose2d", "conv_transpose3d"])

@@ -301,6 +301,27 @@ class TestCheckpoint:
             load_checkpoint(model, str(path))
         assert {n: a.tobytes() for n, a in model.state_arrays().items()} == before
 
+    @pytest.mark.parametrize("old,new,message", [
+        (b"\n161\n", b"\n+161\n", "entry count"),
+        (b"\n161\n", b"\n1_61\n", "entry count"),
+        (b"\nbackbone.stem.conv.weight 16 ", b"\nbackbone.stem.conv.weight +16 ",
+         "malformed entry header"),
+    ], ids=["count-sign", "count-underscore", "dim-sign"])
+    def test_header_integers_are_plain_decimal(self, tmp_path, old, new, message):
+        """int() would take a sign or a '_' separator in the entry count or a
+        dim, and the default model would load these files; they raise and
+        leave the model as it was."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(StereoModel(ModelConfig(seed=1)), str(path))
+        blob = path.read_bytes()
+        assert blob.count(old) == 1
+        path.write_bytes(blob.replace(old, new))
+        model = StereoModel(ModelConfig(seed=2))
+        before = {n: a.tobytes() for n, a in model.state_arrays().items()}
+        with pytest.raises(DataFormatError, match=message):
+            load_checkpoint(model, str(path))
+        assert {n: a.tobytes() for n, a in model.state_arrays().items()} == before
+
     def test_rejected_load_leaves_model_untouched(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(tiny_model(seed=1), str(path))
