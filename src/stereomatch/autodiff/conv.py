@@ -13,8 +13,14 @@ matrix is ``B·Ci·∏K·∏O`` elements): whole rows of the first axis while on
 row fits, else one row and as many entries of the second axis as fit, at
 least one.  Per tile, the forward is one GEMM with the kernel as a free
 [Co, Ci·∏K] view, written into the tile's slice of the output, and the kernel
-gradient one GEMM ``g·colsᵀ`` with the batch folded in, summed over the
-tiles.
+gradient one GEMM ``cols·gᵀ`` with the batch folded in, summed over the
+tiles and transposed once.
+
+When the process may use two CPUs, a forward of at least ``_SPLIT`` column
+elements (four tiles) runs the second half of its tiles on a worker thread
+while the caller runs the first; numpy releases the GIL in the gather copy
+and the GEMM, so the halves overlap.  Each tile is the serial loop's GEMM
+and writes only its own slice of the output, so the bits are the same.
 
 The input gradient of a strided call whose columns fit ``_COLUMNS`` is col2im:
 ``Wᵀ·g``, then one strided add per tap into the padded input grid and a crop.
@@ -26,6 +32,9 @@ correlation is the result.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 from math import prod
 
 import numpy as np
@@ -45,6 +54,17 @@ __all__ = [
 # gathered tile holds, so that a tile's gather and GEMM stay in cache, and the
 # most that col2im's column matrix holds.
 _COLUMNS = 1 << 17
+_SPLIT = 4 * _COLUMNS  # column-matrix elements from which a forward splits over two threads
+
+
+@cache
+def _worker() -> ThreadPoolExecutor | None:
+    """The one thread that runs the second half of a split forward's tiles,
+    made on first use; None when the process may use only one CPU."""
+    return ThreadPoolExecutor(1) if len(os.sched_getaffinity(0)) > 1 else None
+
+
+os.register_at_fork(after_in_child=_worker.cache_clear)  # a forked child has no worker thread
 
 
 def _norm_tuple(value, n: int, name: str) -> tuple[int, ...]:
@@ -120,28 +140,43 @@ def _corr_forward(x, w, stride, pads) -> np.ndarray:
     osp = _out_spatial(x.shape[2:], kshape, stride, pads)
     out = np.empty((b, co) + osp, np.result_type(x, w))
     wm = w.reshape(co, -1)
-    for at, window in _tiles(x, kshape, stride, pads, osp):
-        # the tile's slice of out spans whole trailing axes, so this reshape is a view
-        dst = out[(slice(None),) * 2 + at].reshape(b, co, -1)
-        np.matmul(wm, window.reshape(b, wm.shape[1], -1), out=dst)
+
+    def run(tiles):
+        for at, window in tiles:
+            # the tile's slice of out spans whole trailing axes, so this reshape is a view
+            dst = out[(slice(None),) * 2 + at].reshape(b, co, -1)
+            np.matmul(wm, window.reshape(b, wm.shape[1], -1), out=dst)
+
+    tiles = _tiles(x, kshape, stride, pads, osp)
+    worker = _worker() if b * wm.shape[1] * prod(osp) >= _SPLIT else None
+    if worker is None:
+        run(tiles)
+        return out
+    tiles = list(tiles)
+    half = len(tiles) // 2
+    rest = worker.submit(run, tiles[half:])
+    try:
+        run(tiles[:half])
+    finally:
+        rest.result()  # no tile runs after the call returns, and its error is raised here
     return out
 
 
 def _corr_kernel_grad(x, g, stride, pads, kshape) -> np.ndarray:
     """Gradient of the correlation above with respect to the kernel: per tile,
-    one GEMM of g with the gathered columns, summed over the tiles."""
+    one GEMM ``cols·gᵀ``, summed over the tiles and transposed at the end."""
     (b, c), co, nsp = x.shape[:2], g.shape[1], len(kshape)
     # columns ordered [Ci,*K,B,*O]: the batch folds into the GEMM's inner axis
     order = (1, *range(2, 2 + nsp), 0, *range(2 + nsp, 2 + 2 * nsp))
     parts = (
-        g[(slice(None),) * 2 + at].swapaxes(0, 1).reshape(co, -1)
-        @ window.transpose(order).reshape(c * prod(kshape), -1).T
+        window.transpose(order).reshape(c * prod(kshape), -1)
+        @ g[(slice(None),) * 2 + at].swapaxes(0, 1).reshape(co, -1).T
         for at, window in _tiles(x, kshape, stride, pads, g.shape[2:])
     )
     gw = next(parts)
     for part in parts:
         gw += part
-    return gw.reshape((co, c) + tuple(kshape))
+    return np.ascontiguousarray(gw.T).reshape((co, c) + tuple(kshape))
 
 
 def _corr_input_grad(g, w, stride, padding, in_spatial) -> np.ndarray:

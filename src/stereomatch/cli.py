@@ -62,6 +62,7 @@ def _environment() -> dict:
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "threads": {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},
         "dtype": np.dtype(DTYPE).name,  # the model's compute dtype
+        "cpus": len(os.sched_getaffinity(0)),  # speed only: a split conv gives the same bits
     }
 
 

@@ -261,6 +261,7 @@ def test_manifest_records_environment(tmp_path, monkeypatch):
     assert env["threads"]["OMP_NUM_THREADS"] == "1"
     assert all(k.endswith("_NUM_THREADS") for k in env["threads"])
     assert env["dtype"] == "float32"
+    assert env["cpus"] == len(os.sched_getaffinity(0))
 
 
 def test_eval_dataset_prints_per_sample_and_aggregate(tmp_path, capsys):

@@ -1,7 +1,14 @@
 """Convolution primitives against scalar-loop oracles, plus adjoint identity."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +16,8 @@ import pytest
 from stereomatch import autodiff as ad
 from stereomatch.autodiff import conv
 from stereomatch.errors import ShapeError
+from stereomatch.model import ModelConfig, StereoModel
+from stereomatch.synthetic import synth_stereo
 
 from reference import (
     conv2d_naive,
@@ -292,10 +301,14 @@ def test_conv3d_stride1_input_grad_peak_is_a_few_copies_of_its_cotangent(rng):
     assert peak < (k + 2) * padded
 
 
-def test_stride1_input_grad_returns_its_one_correlation(rng):
+def test_stride1_input_grad_returns_its_one_correlation(rng, monkeypatch):
     """A stride-1 input gradient is one correlation whose output is the
     result: its peak is one tile's columns, the padded cotangent and the
-    result, with no zeroed result for the correlation to be copied into."""
+    result, with no zeroed result for the correlation to be copied into.
+    The correlation runs serial: split over two threads it holds one tile
+    per thread, and whether the two overlap depends on timing, so a bound
+    with room for both could no longer tell a zeroed copy from a tile."""
+    monkeypatch.setattr(conv, "_worker", lambda: None)
     cin, cout, k, spatial = 8, 8, 3, (8, 32, 64)
     g = rng.standard_normal((1, cout) + spatial).astype(np.float32)
     w = rng.standard_normal((cout, cin, k, k, k)).astype(np.float32)
@@ -305,7 +318,7 @@ def test_stride1_input_grad_returns_its_one_correlation(rng):
     assert peak <= conv._COLUMNS * g.itemsize + padded + gx.nbytes
 
 
-def test_gather_peak_is_the_columns_plus_padded_input_and_result(rng):
+def test_gather_peak_is_the_columns_plus_padded_input_and_result(rng, monkeypatch):
     """On the gather path each kernel of a 3x3x3 conv3d holds at most one
     tile's columns (the budget), the zero-padded input grid and its result:
     no second copy of the columns.  The first conv's column matrix nearly
@@ -314,7 +327,10 @@ def test_gather_peak_is_the_columns_plus_padded_input_and_result(rng):
     budget, so its forward and kernel gradient gather in tiles of output rows
     and each tile's forward GEMM writes straight into its rows of the result.
     The third is stride 1 and one output row is above the budget, so its
-    tiles split the second output axis."""
+    tiles split the second output axis.  The forwards run serial, one tile
+    at a time; the split's two tiles are bounded in
+    test_split_forward_peak_is_two_tiles_plus_padded_input_and_result."""
+    monkeypatch.setattr(conv, "_worker", lambda: None)
     k, one, pads = 3, (1, 1, 1), ((1, 1),) * 3
     cases = [
         (32, 16, (2, 16, 16), (1, 2, 2), (2, 8, 8), True),
@@ -370,6 +386,186 @@ def test_infer_sized_stride1_conv_gathers_in_tiles_that_split_the_second_axis(rn
             assert len(range(16)[at[0]]) == 1 and len(range(64)[at[1]]) < 64
             cover[at] += 1
         assert (cover == 1).all()
+
+
+@pytest.fixture
+def split_and_serial(monkeypatch):
+    """Call ``split_and_serial(run)`` for ``(split, serial, splits)``: run()
+    with every forward above ``_SPLIT`` split over two threads, run() again
+    with every forward serial, and how many forwards the first run split.
+    The split has its own worker, so it runs on a one-CPU host too."""
+    worker = ThreadPoolExecutor(1)
+
+    def both(run):
+        splits = []
+        monkeypatch.setattr(conv, "_worker", lambda: splits.append(1) or worker)
+        split = run()
+        monkeypatch.setattr(conv, "_worker", lambda: None)
+        return split, run(), len(splits)
+
+    yield both
+    worker.shutdown()
+
+
+def test_worker_is_made_once_and_only_with_two_cpus():
+    """The worker is one cached executor, and there is none when the
+    process may use only one CPU."""
+    assert conv._worker() is conv._worker()
+    assert (conv._worker() is None) == (len(os.sched_getaffinity(0)) < 2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_split_forward_is_bit_identical_to_serial(dtype, rng, split_and_serial):
+    """A conv3d forward above ``_SPLIT`` runs half its tiles on the worker;
+    each tile's GEMM is the serial loop's and writes only its own slice of
+    the output, so the two give the same bits."""
+    x = ad.Tensor(rng.standard_normal((1, 8, 8, 32, 64)).astype(dtype))
+    w = ad.Tensor(rng.standard_normal((8, 8, 3, 3, 3)).astype(dtype))
+    b = ad.Tensor(rng.standard_normal(8).astype(dtype))
+    assert 8 * 27 * 8 * 32 * 64 >= conv._SPLIT
+    split, serial, splits = split_and_serial(lambda: ad.conv3d(x, w, b, 1, 1).data)
+    assert splits == 1 and split.dtype == dtype
+    assert np.array_equal(split, serial)
+
+
+def test_split_transposed_conv_is_bit_identical_to_serial(rng, split_and_serial):
+    """Each stride phase of a polyphase conv_transpose3d is one forward; the
+    phases run one after another, and each splits its own tiles."""
+    x = ad.Tensor(rng.standard_normal((1, 16, 8, 16, 32)))
+    w = ad.Tensor(rng.standard_normal((16, 8, 4, 4, 4)))
+    split, serial, splits = split_and_serial(lambda: ad.conv_transpose3d(x, w, None, 2, 1).data)
+    assert splits == 8  # one per phase: 16 channels · 2³ taps · 8x16x32 outputs = _SPLIT
+    assert np.array_equal(split, serial)
+
+
+def test_split_model_forward_is_bit_identical_to_serial(split_and_serial):
+    """A no-grad float32 forward of the default model at 128x256 gives the
+    same disparities whether its large convs split or not."""
+    model = StereoModel(ModelConfig())
+    model.eval()
+    s = synth_stereo(3, 128, 256, model.config.matching.max_disparity, "slanted_planes")
+
+    def run():
+        with ad.no_grad():
+            d0, d1 = model(s.left, s.right)
+        return d0.values.data, d1.values.data
+
+    split, serial, splits = split_and_serial(run)
+    assert splits > 0 and split[1].dtype == np.float32
+    assert all(np.array_equal(a, b) for a, b in zip(split, serial))
+
+
+def test_split_forward_is_bit_identical_under_rapid_thread_switches(rng, split_and_serial):
+    """Fifty split forwards, with the interpreter switching threads every
+    microsecond, all give the serial bits, and in bounded time."""
+    x = rng.standard_normal((1, 8, 4, 32, 64)).astype(np.float32)
+    w = rng.standard_normal((8, 8, 3, 3, 3)).astype(np.float32)
+    pads = ((1, 1),) * 3
+    interval, started = sys.getswitchinterval(), time.perf_counter()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs, serial, splits = split_and_serial(
+            lambda: [conv._corr_forward(x, w, (1, 1, 1), pads) for _ in range(50)]
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert splits == 50
+    assert all(np.array_equal(run, serial[0]) for run in runs)
+    assert time.perf_counter() - started < 60
+
+
+def test_split_forward_raises_a_worker_tile_error_after_every_tile_ran(rng, monkeypatch):
+    """An error in a tile on the worker is raised by the call.  When the
+    calling thread's half fails first, the call still waits for the
+    worker's half, so no tile runs after the call returns."""
+    x = rng.standard_normal((1, 8, 4, 32, 64)).astype(np.float32)
+    w = rng.standard_normal((8, 8, 3, 3, 3)).astype(np.float32)
+    real, done = conv._tiles, []
+    monkeypatch.setattr(conv, "_worker", lambda: worker)
+
+    class Failing:
+        def reshape(self, *shape):
+            raise RuntimeError("tile failed")
+
+    class Slow:
+        def __init__(self, window):
+            self.window = window
+
+        def reshape(self, *shape):
+            time.sleep(0.2)
+            done.append(1)
+            return self.window.reshape(*shape)
+
+    def tiles(*a, failing, slow):
+        tiles = list(real(*a))
+        tiles[failing] = tiles[failing][0], Failing()
+        tiles[slow] = tiles[slow][0], Slow(tiles[slow][1])
+        return tiles
+
+    with ThreadPoolExecutor(1) as worker:
+        for failing, slow in ((-1, 0), (0, -1)):  # fails on the worker, then on the caller
+            monkeypatch.setattr(conv, "_tiles", lambda *a: tiles(*a, failing=failing, slow=slow))
+            done.clear()
+            with pytest.raises(RuntimeError, match="tile failed"):
+                conv._corr_forward(x, w, (1, 1, 1), ((1, 1),) * 3)
+            assert done == [1]
+
+
+def test_split_forward_peak_is_two_tiles_plus_padded_input_and_result(rng, split_and_serial):
+    """Split over two threads, a forward holds at most one tile's columns
+    per thread, the zero-padded input and its result."""
+    x = rng.standard_normal((1, 8, 8, 32, 64)).astype(np.float32)
+    w = rng.standard_normal((8, 8, 3, 3, 3)).astype(np.float32)
+    padded = 8 * prod(n + 2 for n in x.shape[2:]) * x.itemsize
+    (out, peak), _, splits = split_and_serial(
+        lambda: _traced(lambda: conv._corr_forward(x, w, (1, 1, 1), ((1, 1),) * 3))
+    )
+    assert splits == 1
+    assert peak <= 2 * conv._COLUMNS * x.itemsize + padded + out.nbytes
+
+
+def test_import_starts_no_thread():
+    """Importing the package and every module starts no thread: the worker
+    is made by the first forward that splits."""
+    code = (
+        "import pkgutil, threading, importlib\n"
+        "before = threading.active_count()\n"
+        "import stereomatch\n"
+        "for m in pkgutil.walk_packages(stereomatch.__path__, 'stereomatch.'):\n"
+        "    importlib.import_module(m.name)\n"
+        "print(before, threading.active_count())\n"
+    )
+    src = str(Path(conv.__file__).parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    before, after = run.stdout.split()
+    assert before == after
+
+
+def test_forked_child_makes_its_own_worker(rng):
+    """A child forked after the worker started has no worker thread; its
+    first split forward makes its own instead of waiting on the parent's."""
+    if conv._worker() is None:
+        pytest.skip("one CPU: no forward splits")
+    x = rng.standard_normal((1, 8, 4, 32, 64)).astype(np.float32)
+    w = rng.standard_normal((8, 8, 3, 3, 3)).astype(np.float32)
+    want = conv._corr_forward(x, w, (1, 1, 1), ((1, 1),) * 3)  # starts the worker
+    pid = os.fork()
+    if pid == 0:
+        ok = False
+        try:
+            ok = np.array_equal(conv._corr_forward(x, w, (1, 1, 1), ((1, 1),) * 3), want)
+        finally:
+            os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 60
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if status[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's split forward did not return")
+    assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 def test_corr_forward_with_negative_pads_matches_naive(rng, lowerings):
