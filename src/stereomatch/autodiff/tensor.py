@@ -330,7 +330,7 @@ def sigmoid(t) -> Tensor:
     return _node(out_data, (t,), bw)
 
 
-def leaky_relu(t, negative_slope: float = 0.2) -> Tensor:
+def leaky_relu(t, negative_slope: float) -> Tensor:
     """x where x >= 0, else negative_slope * x, for a slope in [0, 1]: then
     max(x, slope * x) picks exactly that, so no mask is kept."""
     if not 0.0 <= negative_slope <= 1.0:
@@ -374,17 +374,11 @@ def reshape(t, shape: tuple[int, ...]) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     parts = [_lift(t) for t in tensors]
-    if not parts:
-        raise ShapeError("concat of zero tensors")
-    base = list(parts[0].shape)
-    for p in parts[1:]:
-        other = list(p.shape)
-        probe_a, probe_b = list(base), other[:]
-        probe_a[axis] = probe_b[axis] = 0
-        if probe_a != probe_b:
-            raise ShapeError(
-                f"concat: shapes {parts[0].shape} and {p.shape} differ off axis {axis}"
-            )
+    try:
+        out_data = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError as exc:  # numpy's AxisError is a ValueError too
+        shapes = ", ".join(str(p.shape) for p in parts)
+        raise ShapeError(f"concat: cannot join shapes [{shapes}] on axis {axis}: {exc}") from None
     sizes = [p.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
@@ -396,7 +390,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             grads.append(g[tuple(index)])
         return tuple(grads)
 
-    return _node(np.concatenate([p.data for p in parts], axis=axis), parts, bw)
+    return _node(out_data, parts, bw)
 
 
 def tsum(t, axis=None, keepdims: bool = False) -> Tensor:

@@ -1,10 +1,13 @@
 """Command-line interface: infer / train / eval / gradcheck / ablate.
 
-Every command writes a manifest.json into its output directory (atomically,
-via rename) recording the resolved configuration, seed, timings, and results,
-so any run can be reproduced from the manifest alone.  Exit codes: 0 success,
-1 internal failure (including gradient checks out of tolerance), 2 user or
-configuration error.
+`main` resolves the configuration, runs the command, and writes a
+manifest.json into the output directory (infer, train and ablate always have
+one; eval and gradcheck only with --out) recording the resolved
+configuration, seed, timings, and results, so any run can be reproduced from
+the manifest alone.  A command fills in only the manifest's timings and
+results.  Every file is written atomically, via rename.  Exit codes: 0
+success, 1 internal failure (including gradient checks out of tolerance), 2
+user or configuration error.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import os
 import sys
 import time
 import traceback
+from dataclasses import asdict
 
 import numpy as np
 
@@ -35,23 +39,21 @@ from .training import Adam, fit, heldout_metrics, load_checkpoint, save_checkpoi
 
 def _resolve_config(args) -> RunConfig:
     text = None
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
             try:
                 text = f.read()
             except UnicodeDecodeError as exc:
                 raise ConfigError(f"config file {args.config} is not UTF-8 text: {exc}") from exc
     overrides = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = str(args.seed)
     return load_run_config(text, overrides)
 
 
-def _write_manifest(out_dir: str, manifest: dict) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "manifest.json")
+def _write_text(path: str, text: str) -> None:
     with atomic_write(path) as f:
-        f.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+        f.write(text.encode("utf-8"))
 
 
 def _environment() -> dict:
@@ -63,18 +65,6 @@ def _environment() -> dict:
         "threads": {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},
         "dtype": np.dtype(DTYPE).name,  # the model's compute dtype
         "cpus": len(os.sched_getaffinity(0)),  # speed only: a split conv gives the same bits
-    }
-
-
-def _manifest_base(command: str, rc: RunConfig, out_dir: str) -> dict:
-    return {
-        "command": command,
-        "environment": _environment(),
-        "seed": rc.model.seed,
-        "out_dir": out_dir,
-        "config": run_config_to_text(rc),
-        "timings_s": {},
-        "results": {},
     }
 
 
@@ -107,8 +97,7 @@ def _load_gt(gt_path: str, mask_path: str | None, max_disparity: int):
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_infer(args) -> int:
-    rc = _resolve_config(args)
+def cmd_infer(args, rc: RunConfig, manifest: dict) -> int:
     started = time.perf_counter()
     model = _build_model(rc, args.checkpoint)
     left = _load_image(args.left)
@@ -126,23 +115,20 @@ def cmd_infer(args) -> int:
         outputs["d0.pfm"] = d0.values.data[0, 0]
     for name, field in outputs.items():
         with atomic_write(os.path.join(args.out, name)) as f:
-            f.write(write_pfm(field.astype(np.float32)))
+            f.write(write_pfm(field))
 
-    manifest = _manifest_base("infer", rc, args.out)
     manifest["timings_s"] = {"build": build_s, "forward": forward_s}
     manifest["results"]["outputs"] = sorted(outputs)
     if args.gt:
         gt, mask = _load_gt(args.gt, args.mask, rc.model.matching.max_disparity)
         report = evaluate(d1.values.data[0, 0], gt, mask)
-        manifest["results"]["metrics"] = report.as_dict()
+        manifest["results"]["metrics"] = asdict(report)
         print(report.to_line())
-    _write_manifest(args.out, manifest)
     print(f"wrote {', '.join(sorted(outputs))} to {args.out}")
     return 0
 
 
-def cmd_train(args) -> int:
-    rc = _resolve_config(args)
+def cmd_train(args, rc: RunConfig, manifest: dict) -> int:
     t = rc.train
     started = time.perf_counter()
     model = StereoModel(rc.model)
@@ -153,7 +139,7 @@ def cmd_train(args) -> int:
     log_lines = []
 
     def on_step(i, value):
-        log_lines.append(f"step={i + 1} lr={optim.current_lr():g} loss={value:.6f}")
+        log_lines.append(f"step={i + 1} lr={optim.current_lr():g} loss={value:.6f}\n")
 
     started = time.perf_counter()
     report = fit(model, optim, train_batches, t.steps, on_step=on_step)
@@ -165,22 +151,18 @@ def cmd_train(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(model, os.path.join(args.out, "model.ckpt"))
-    with open(os.path.join(args.out, "loss_log.txt"), "w", encoding="utf-8") as f:
-        f.write("\n".join(log_lines) + ("\n" if log_lines else ""))
-    with open(os.path.join(args.out, "metrics.txt"), "w", encoding="utf-8") as f:
-        f.write(metrics.to_line() + "\n")
+    _write_text(os.path.join(args.out, "loss_log.txt"), "".join(log_lines))
+    _write_text(os.path.join(args.out, "metrics.txt"), metrics.to_line() + "\n")
 
-    manifest = _manifest_base("train", rc, args.out)
     manifest["timings_s"] = {"setup": setup_s, "train": train_s, "eval": eval_s}
     manifest["results"] = {
         "steps": t.steps,
         "rejected_steps": report.rejected_steps,
         "first_loss": report.losses[0] if report.losses else None,
         "final_loss": report.losses[-1] if report.losses else None,
-        "metrics": metrics.as_dict(),
+        "metrics": asdict(metrics),
         "outputs": ["loss_log.txt", "metrics.txt", "model.ckpt"],
     }
-    _write_manifest(args.out, manifest)
     if report.losses:
         print(f"trained {t.steps} steps: loss {report.losses[0]:.4f} -> "
               f"{report.losses[-1]:.4f}")
@@ -188,25 +170,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_files(args, rc: RunConfig, manifest: dict) -> int:
-    with open(args.pred, "rb") as f:
-        pred, _ = read_pfm(f.read())
-    gt, mask = _load_gt(args.gt, args.mask, rc.model.matching.max_disparity)
-    report = evaluate(pred.astype(np.float64), gt, mask)
-    print(report.to_line())
-    manifest["results"] = {"aggregate": report.as_dict()}
-    if args.out:
-        _write_manifest(args.out, manifest)
-    return 0
-
-
-def cmd_eval(args) -> int:
-    rc = _resolve_config(args)
-    manifest = _manifest_base("eval", rc, args.out or "")
+def cmd_eval(args, rc: RunConfig, manifest: dict) -> int:
     if args.pred:
         if not args.gt:
             raise ConfigError("--pred needs --gt to compare against")
-        return _eval_files(args, rc, manifest)
+        with open(args.pred, "rb") as f:
+            pred, _ = read_pfm(f.read())
+        gt, mask = _load_gt(args.gt, args.mask, rc.model.matching.max_disparity)
+        report = evaluate(pred.astype(np.float64), gt, mask)
+        print(report.to_line())
+        manifest["results"] = {"aggregate": asdict(report)}
+        return 0
     if not args.dataset:
         raise ConfigError("eval needs either a dataset directory or --pred/--gt")
 
@@ -225,7 +199,7 @@ def cmd_eval(args) -> int:
         with ad.no_grad():
             _, d1 = model(sample.left, sample.right)
         report = evaluate(d1.values, sample.gt_disparity, sample.valid_mask)
-        per_sample[name] = report.as_dict()
+        per_sample[name] = asdict(report)
         print(f"{name}: {report.to_line()}")
         pooled["pred"].append(d1.values.data.ravel())
         pooled["gt"].append(sample.gt_disparity.ravel())
@@ -236,18 +210,16 @@ def cmd_eval(args) -> int:
     print(f"aggregate: {aggregate.to_line()}")
 
     manifest["timings_s"] = {"eval": time.perf_counter() - started}
-    manifest["results"] = {"per_sample": per_sample, "aggregate": aggregate.as_dict()}
+    manifest["results"] = {"per_sample": per_sample, "aggregate": asdict(aggregate)}
     if args.out:
-        _write_manifest(args.out, manifest)
-        with open(os.path.join(args.out, "metrics.txt"), "w", encoding="utf-8") as f:
-            for name in names:
-                f.write(f"{name}: epe={per_sample[name]['epe_px']:.4f}\n")
-            f.write(f"aggregate: {aggregate.to_line()}\n")
+        os.makedirs(args.out, exist_ok=True)
+        lines = [f"{name}: epe={r['epe_px']:.4f}\n" for name, r in per_sample.items()]
+        _write_text(os.path.join(args.out, "metrics.txt"),
+                    "".join(lines) + f"aggregate: {aggregate.to_line()}\n")
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    rc = _resolve_config(args)
+def cmd_gradcheck(args, rc: RunConfig, manifest: dict) -> int:
     started = time.perf_counter()
     results = {}
     worst = 0.0
@@ -262,16 +234,12 @@ def cmd_gradcheck(args) -> int:
     print(f"{len(results)} checks, worst {worst:.3e}, "
           f"{'all within' if passed else 'EXCEEDS'} {GRADCHECK_TOLERANCE:g} "
           f"({elapsed:.1f}s)")
-    if args.out:
-        manifest = _manifest_base("gradcheck", rc, args.out)
-        manifest["timings_s"] = {"suite": elapsed}
-        manifest["results"] = {"checks": results, "worst": worst, "passed": passed}
-        _write_manifest(args.out, manifest)
+    manifest["timings_s"] = {"suite": elapsed}
+    manifest["results"] = {"checks": results, "worst": worst, "passed": passed}
     return 0 if passed else 1
 
 
-def cmd_ablate(args) -> int:
-    rc = _resolve_config(args)
+def cmd_ablate(args, rc: RunConfig, manifest: dict) -> int:
     started = time.perf_counter()
     report = ablate(
         rc.model, args.axis, rc.train,
@@ -284,24 +252,9 @@ def cmd_ablate(args) -> int:
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "table.txt"), "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
-        manifest = _manifest_base("ablate", rc, args.out)
-        manifest["timings_s"] = {"sweep": elapsed}
-        manifest["results"] = {
-            "axis": report.axis,
-            "rows": [
-                {
-                    "name": r.name,
-                    "param_count": r.param_count,
-                    "final_loss": r.final_loss,
-                    "metrics": r.metrics.as_dict(),
-                }
-                for r in report.rows
-            ],
-            "detach_checks": report.detach_checks,
-        }
-        _write_manifest(args.out, manifest)
+        _write_text(os.path.join(args.out, "table.txt"), "\n".join(lines) + "\n")
+    manifest["timings_s"] = {"sweep": elapsed}
+    manifest["results"] = asdict(report)
     return 0
 
 
@@ -361,7 +314,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc = _resolve_config(args)
+        manifest = {
+            "command": args.command,
+            "environment": _environment(),
+            "seed": rc.model.seed,
+            "out_dir": args.out or "",
+            "config": run_config_to_text(rc),
+            "timings_s": {},
+            "results": {},
+        }
+        status = args.func(args, rc, manifest)
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+            _write_text(os.path.join(args.out, "manifest.json"),
+                        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        return status
     except (ConfigError, DataFormatError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -192,7 +192,7 @@ def save_sample(directory: str, sample) -> None:
     files = {
         "left.ppm": write_ppm(_image_to_uint8(sample.left)),
         "right.ppm": write_ppm(_image_to_uint8(sample.right)),
-        "disp.pfm": write_pfm(sample.gt_disparity[0, 0].astype(np.float32)),
+        "disp.pfm": write_pfm(sample.gt_disparity[0, 0]),
         "mask.pgm": write_pgm(mask),
     }
     for name, blob in files.items():

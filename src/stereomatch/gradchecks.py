@@ -62,7 +62,7 @@ def gradcheck_suite():
         ("sqrt", lambda: grad_check(_probed(ad.sqrt), pos34)),
         ("absval", lambda: grad_check(_probed(ad.absval), off34)),
         ("sigmoid", lambda: grad_check(_probed(ad.sigmoid), 3.0 * x34)),
-        ("leaky_relu", lambda: grad_check(_probed(lambda t: ad.leaky_relu(t, 0.2)), off34)),
+        ("leaky_relu", lambda: grad_check(_probed(lambda t: ad.leaky_relu(t, LEAKY_SLOPE)), off34)),
         ("softmax", lambda: grad_check(_probed(lambda t: ad.softmax(t, axis=1)), 2.0 * x34)),
         ("tsum", lambda: grad_check(_probed(lambda t: ad.tsum(t, axis=0, keepdims=True)), x34)),
         ("reshape", lambda: grad_check(_probed(lambda t: ad.reshape(t, (4, 3))), x34)),

@@ -30,16 +30,6 @@ class MetricsReport:
             f"gt3={fmt(self.gt3_percent)} valid={self.valid_pixel_count}"
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "epe_px": self.epe_px,
-            "d1_percent": self.d1_percent,
-            "gt1_percent": self.gt1_percent,
-            "gt2_percent": self.gt2_percent,
-            "gt3_percent": self.gt3_percent,
-            "valid_pixel_count": self.valid_pixel_count,
-        }
-
 
 def valid_mask_from_gt(gt: np.ndarray, max_disparity: int) -> np.ndarray:
     """Standard validity rule for loaded datasets: positive ground truth

@@ -28,11 +28,11 @@ DTYPE = np.float32
 
 @dataclass
 class ModelConfig:
+    seed: int = 0
+    afv_enabled: bool = True
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     matching: MatchingConfig = field(default_factory=MatchingConfig)
     cgf: CgfConfig = field(default_factory=CgfConfig)
-    afv_enabled: bool = True
-    seed: int = 0
 
     def validate(self) -> "ModelConfig":
         self.backbone.validate()

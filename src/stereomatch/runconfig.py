@@ -1,13 +1,15 @@
 """Flat key=value run configuration.
 
 A run file is plain text: one `key=value` per line, `#` comments, blank lines
-ignored.  Keys are dotted paths into the model/training dataclasses; the same
-keys are accepted as command-line overrides, which win over the file.
+ignored.  The keys are the fields of the model and training dataclasses:
+`ModelConfig`'s bare, a nested config's under its field name
+(`backbone.channels`), `TrainParams`' under `train.`.  The same keys are
+accepted as command-line overrides, which win over the file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
 from .model import ModelConfig
@@ -34,14 +36,15 @@ def _parse_bool(s: str) -> bool:
     raise ConfigError(f"expected a boolean, got {s!r}")
 
 
-def _parse_int_tuple(s: str) -> tuple:
-    s = s.strip()
-    return tuple(int(tok) for tok in s.split(",")) if s else ()
-
-
-def _parse_str_tuple(s: str) -> tuple:
-    s = s.strip()
-    return tuple(tok.strip() for tok in s.split(",")) if s else ()
+def _parser(default):
+    """The parser of a key, chosen by the type of its default value: a tuple
+    takes comma-separated entries of its first entry's type."""
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, tuple):
+        item = type(default[0])
+        return lambda s: tuple(item(tok.strip()) for tok in s.split(",")) if s.strip() else ()
+    return type(default)
 
 
 def _fmt(value) -> str:
@@ -52,31 +55,20 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _rows(obj, prefix: str):
+    """The schema rows of obj's fields, a nested config's under its name."""
+    defaults = type(obj)()
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _rows(value, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", _parser(getattr(defaults, f.name)), obj, f.name
+
+
 def _schema(rc: RunConfig):
     """Ordered (key, parser, owner object, attribute) rows; one per field."""
-    m, t = rc.model, rc.train
-    return [
-        ("seed", int, m, "seed"),
-        ("afv_enabled", _parse_bool, m, "afv_enabled"),
-        ("backbone.stem_channels", int, m.backbone, "stem_channels"),
-        ("backbone.channels", _parse_int_tuple, m.backbone, "channels"),
-        ("matching.max_disparity", int, m.matching, "max_disparity"),
-        ("matching.corr_channels", int, m.matching, "corr_channels"),
-        ("cgf.positions", _parse_str_tuple, m.cgf, "positions"),
-        ("cgf.detach_context", _parse_bool, m.cgf, "detach_context"),
-        ("train.steps", int, t, "steps"),
-        ("train.lr", float, t, "lr"),
-        ("train.lr_decay_steps", _parse_int_tuple, t, "lr_decay_steps"),
-        ("train.lr_decay_factor", float, t, "lr_decay_factor"),
-        ("train.batch_size", int, t, "batch_size"),
-        ("train.data_seed", int, t, "data_seed"),
-        ("train.height", int, t, "height"),
-        ("train.width", int, t, "width"),
-        ("train.mode", str, t, "mode"),
-        ("train.constant_disparity", float, t, "constant_disparity"),
-        ("train.train_samples", int, t, "train_samples"),
-        ("train.eval_samples", int, t, "eval_samples"),
-    ]
+    return [*_rows(rc.model, ""), *_rows(rc.train, "train.")]
 
 
 def parse_pairs(text: str) -> dict:

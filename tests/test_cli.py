@@ -1,12 +1,14 @@
 """End-to-end command-line tests: every subcommand is exercised through
 main() with outputs going to pytest temp dirs."""
 
+import contextlib
 import json
 import os
 
 import numpy as np
 import pytest
 
+from stereomatch import cli
 from stereomatch.cli import main
 from stereomatch.fileio import read_pfm, save_sample, write_pfm
 from stereomatch.synthetic import synth_stereo
@@ -62,6 +64,78 @@ def test_infer_writes_disparity_and_manifest(tmp_path, capsys):
     assert "matching.max_disparity=32" in manifest["config"]
     assert manifest["timings_s"]["forward"] > 0
     assert not (out / "manifest.json.tmp").exists()
+
+
+MANIFEST_KEYS = {"command", "environment", "seed", "out_dir", "config", "timings_s", "results"}
+REPORT_KEYS = {"epe_px", "d1_percent", "gt1_percent", "gt2_percent", "gt3_percent",
+               "valid_pixel_count"}
+
+
+@pytest.mark.parametrize("case,status,timings,results", [
+    ("infer", 0, {"build", "forward"}, {"outputs"}),
+    ("infer-gt", 0, {"build", "forward"}, {"outputs", "metrics"}),
+    ("train", 0, {"setup", "train", "eval"},
+     {"steps", "rejected_steps", "first_loss", "final_loss", "metrics", "outputs"}),
+    ("eval", 0, {"eval"}, {"per_sample", "aggregate"}),
+    ("eval-pred", 0, set(), {"aggregate"}),
+    ("gradcheck", 0, {"suite"}, {"checks", "worst", "passed"}),
+    ("gradcheck-fail", 1, {"suite"}, {"checks", "worst", "passed"}),
+    ("ablate", 0, {"sweep"}, {"axis", "rows", "detach_checks"}),
+])
+def test_every_manifest_holds_its_pinned_keys(tmp_path, monkeypatch, case, status,
+                                              timings, results):
+    """What each command records, key by key; eval and gradcheck write a
+    manifest only with --out, and a failing gradcheck still writes one."""
+    error = 1.0 if case == "gradcheck-fail" else 0.0
+    monkeypatch.setattr(cli, "gradcheck_suite", lambda: [("probe", lambda: error)])
+    cfg = write_cfg(tmp_path, text=TINY_CFG.replace("train.steps = 3", "train.steps = 1"))
+    data = tmp_path / "data"
+    data.mkdir()
+    bundle = make_bundle(data, "s000", seed=23)
+    pair = [str(bundle / "left.ppm"), str(bundle / "right.ppm")]
+    gt = ["--gt", str(bundle / "disp.pfm"), "--mask", str(bundle / "mask.pgm")]
+    argv = {
+        "infer": ["infer", *pair],
+        "infer-gt": ["infer", *pair, *gt],
+        "train": ["train"],
+        "eval": ["eval", str(data)],
+        "eval-pred": ["eval", "--pred", str(bundle / "disp.pfm"), *gt],
+        "gradcheck": ["gradcheck"],
+        "gradcheck-fail": ["gradcheck"],
+        "ablate": ["ablate", "--axis", "detach"],
+    }[case] + ["--config", cfg]
+
+    if argv[0] in ("eval", "gradcheck"):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(argv) == status
+        assert list(cwd.iterdir()) == []
+        assert list(tmp_path.rglob("manifest.json")) == []
+
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == status
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == argv[0]
+    assert manifest["out_dir"] == str(out)
+    assert set(manifest["timings_s"]) == timings
+    assert set(manifest["results"]) == results
+
+    got = manifest["results"]
+    reports = {
+        "infer-gt": lambda: [got["metrics"]],
+        "train": lambda: [got["metrics"]],
+        "eval": lambda: [got["per_sample"]["s000"], got["aggregate"]],
+        "eval-pred": lambda: [got["aggregate"]],
+        "ablate": lambda: [row["metrics"] for row in got["rows"]],
+    }.get(case, list)()
+    assert all(set(report) == REPORT_KEYS for report in reports)
+    if case == "ablate":
+        assert [set(row) for row in got["rows"]] == [
+            {"name", "param_count", "final_loss", "metrics"}] * 2
+    if case.startswith("gradcheck"):
+        assert got["passed"] is (status == 0)
 
 
 def test_infer_rerun_is_byte_identical(tmp_path):
@@ -223,6 +297,37 @@ def test_train_writes_checkpoint_log_and_metrics(tmp_path, capsys):
     assert manifest["results"]["rejected_steps"] == 0
     assert manifest["results"]["final_loss"] > 0
     assert "trained 3 steps" in capsys.readouterr().out
+
+
+def test_failed_text_write_keeps_the_earlier_file(tmp_path, capsys, monkeypatch):
+    """A text output that fails halfway through its write leaves the file of
+    the earlier run byte for byte and no temporary file behind."""
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    before = (out / "loss_log.txt").read_bytes()
+
+    class HalfWriter:
+        def __init__(self, f):
+            self.f = f
+
+        def write(self, blob):
+            self.f.write(blob[: len(blob) // 2])
+            raise OSError("disk full")
+
+    real = cli.atomic_write
+
+    @contextlib.contextmanager
+    def failing_atomic_write(path):
+        with real(path) as f:
+            yield HalfWriter(f) if path.endswith(".txt") else f
+
+    monkeypatch.setattr(cli, "atomic_write", failing_atomic_write)
+    # another seed logs other losses, so an overwrite would show
+    assert main(["train", "--config", cfg, "--seed", "4", "--out", str(out)]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert (out / "loss_log.txt").read_bytes() == before
+    assert not list(out.glob("*.tmp"))
 
 
 def test_train_then_infer_from_checkpoint(tmp_path):

@@ -1,6 +1,7 @@
 """Evaluation metrics: EPE, D1 outlier rule, >k px rates, mask handling."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ def test_masked_pixels_do_not_contribute():
     pred2 = pred.copy()
     pred2[~mask] = 9e9
     again = evaluate(pred2, gt, mask)
-    assert again.as_dict() == base.as_dict()
+    assert asdict(again) == asdict(base)
 
 
 def test_empty_mask_yields_nan_report():
@@ -120,4 +121,4 @@ def test_report_line_format():
     r = MetricsReport(1.23456, 10.0, 30.0, 20.0, 10.0, 42)
     line = r.to_line()
     assert line == "epe=1.2346 d1=10.0000 gt1=30.0000 gt2=20.0000 gt3=10.0000 valid=42"
-    assert r.as_dict()["valid_pixel_count"] == 42
+    assert asdict(r)["valid_pixel_count"] == 42

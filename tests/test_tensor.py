@@ -231,6 +231,19 @@ def test_reshape_concat_values():
     assert np.array_equal(two.data, np.concatenate([x, x], axis=0))
 
 
+@pytest.mark.parametrize("shapes,axis", [
+    pytest.param([(2, 3), (2, 4)], 0, id="off-axis-extent"),
+    pytest.param([(2, 3), (2, 3, 1)], 0, id="rank"),
+    pytest.param([(2, 3)], 2, id="axis-one-part"),
+    pytest.param([(2, 3), (2, 3)], -3, id="axis-two-parts"),
+    pytest.param([], 0, id="empty"),
+])
+def test_concat_shape_errors_are_shape_errors(shapes, axis):
+    with pytest.raises(ShapeError, match=r"concat: cannot join shapes \[") as err:
+        ad.concat([ad.Tensor(np.zeros(s)) for s in shapes], axis=axis)
+    assert all(str(s) in str(err.value) for s in shapes)
+
+
 def test_tsum_axis_keepdims():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 3, 4))
