@@ -1,18 +1,23 @@
 """Command-line interface: infer / train / eval / gradcheck / ablate.
 
-`main` resolves the configuration, runs the command, and writes a
-manifest.json into the output directory (infer, train and ablate always have
-one; eval and gradcheck only with --out) recording the resolved
-configuration, seed, timings, and results, so any run can be reproduced from
-the manifest alone.  A command fills in only the manifest's timings and
-results.  Every file is written atomically, via rename.  Exit codes: 0
-success, 1 internal failure (including gradient checks out of tolerance), 2
-user or configuration error.
+`main` resolves the configuration, runs the command, and owns the output
+directory (infer, train and ablate always have one; eval and gradcheck only
+with --out).  A command fills in only the manifest's timings and results and
+returns its exit status with its output files as {name: bytes}; it writes
+nothing.  Once the command has returned, `main` removes any earlier
+manifest.json, writes each file, then writes the manifest last, listing the
+files under results.outputs and recording the resolved configuration, seed,
+timings and results, so any run can be reproduced from the manifest alone.
+A command that stops on an error writes nothing, and a directory whose
+manifest exists holds that run's outputs.  Every file is written atomically,
+via rename.  Exit codes: 0 success, 1 internal failure (including gradient
+checks out of tolerance), 2 user or configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -24,14 +29,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .ablation import AXES, ablate
-from .autodiff import Tensor
 from .errors import ConfigError, DataFormatError, ShapeError, StereoMatchError
-from .fileio import atomic_write, load_sample, read_pfm, read_pgm, read_ppm, write_pfm
+from .fileio import atomic_write, load_image, load_sample, read_pfm, read_pgm, write_pfm
 from .gradchecks import GRADCHECK_TOLERANCE, gradcheck_suite
 from .metrics import evaluate, valid_mask_from_gt
 from .model import DTYPE, StereoModel
 from .runconfig import RunConfig, load_run_config, run_config_to_text
-from .training import Adam, fit, heldout_metrics, load_checkpoint, save_checkpoint, split
+from .training import Adam, checkpoint_bytes, fit, heldout_metrics, load_checkpoint, split
 
 
 # ---------------------------------------------------------------------------
@@ -51,11 +55,6 @@ def _resolve_config(args) -> RunConfig:
     return load_run_config(text, overrides)
 
 
-def _write_text(path: str, text: str) -> None:
-    with atomic_write(path) as f:
-        f.write(text.encode("utf-8"))
-
-
 def _environment() -> dict:
     """The build and settings that byte-identical reruns depend on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -66,12 +65,6 @@ def _environment() -> dict:
         "dtype": np.dtype(DTYPE).name,  # the model's compute dtype
         "cpus": len(os.sched_getaffinity(0)),  # speed only: a split conv gives the same bits
     }
-
-
-def _load_image(path: str) -> Tensor:
-    with open(path, "rb") as f:
-        img = read_ppm(f.read())
-    return Tensor(img.transpose(2, 0, 1)[None] / 255.0)
 
 
 def _build_model(rc: RunConfig, checkpoint: str | None) -> StereoModel:
@@ -97,38 +90,34 @@ def _load_gt(gt_path: str, mask_path: str | None, max_disparity: int):
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_infer(args, rc: RunConfig, manifest: dict) -> int:
+def cmd_infer(args, rc: RunConfig, manifest: dict) -> tuple[int, dict]:
     started = time.perf_counter()
+    left = load_image(args.left)
+    right = load_image(args.right)
+    if args.gt:  # a bad ground truth fails before the forward
+        gt, mask = _load_gt(args.gt, args.mask, rc.model.matching.max_disparity)
+        if gt.shape != left.shape[2:] or mask.shape != gt.shape:
+            raise ShapeError(f"--gt {gt.shape} and its mask {mask.shape} "
+                             f"must match the images' {left.shape[2:]}")
     model = _build_model(rc, args.checkpoint)
-    left = _load_image(args.left)
-    right = _load_image(args.right)
     build_s = time.perf_counter() - started
 
     started = time.perf_counter()
     with ad.no_grad():
         d0, d1 = model(left, right)
-    forward_s = time.perf_counter() - started
+    manifest["timings_s"] = {"build": build_s, "forward": time.perf_counter() - started}
 
-    os.makedirs(args.out, exist_ok=True)
-    outputs = {"disp.pfm": d1.values.data[0, 0]}
+    files = {"disp.pfm": write_pfm(d1.values.data[0, 0])}
     if args.save_d0:
-        outputs["d0.pfm"] = d0.values.data[0, 0]
-    for name, field in outputs.items():
-        with atomic_write(os.path.join(args.out, name)) as f:
-            f.write(write_pfm(field))
-
-    manifest["timings_s"] = {"build": build_s, "forward": forward_s}
-    manifest["results"]["outputs"] = sorted(outputs)
+        files["d0.pfm"] = write_pfm(d0.values.data[0, 0])
     if args.gt:
-        gt, mask = _load_gt(args.gt, args.mask, rc.model.matching.max_disparity)
         report = evaluate(d1.values.data[0, 0], gt, mask)
         manifest["results"]["metrics"] = asdict(report)
         print(report.to_line())
-    print(f"wrote {', '.join(sorted(outputs))} to {args.out}")
-    return 0
+    return 0, files
 
 
-def cmd_train(args, rc: RunConfig, manifest: dict) -> int:
+def cmd_train(args, rc: RunConfig, manifest: dict) -> tuple[int, dict]:
     t = rc.train
     started = time.perf_counter()
     model = StereoModel(rc.model)
@@ -149,11 +138,6 @@ def cmd_train(args, rc: RunConfig, manifest: dict) -> int:
     metrics = heldout_metrics(model, held)
     eval_s = time.perf_counter() - started
 
-    os.makedirs(args.out, exist_ok=True)
-    save_checkpoint(model, os.path.join(args.out, "model.ckpt"))
-    _write_text(os.path.join(args.out, "loss_log.txt"), "".join(log_lines))
-    _write_text(os.path.join(args.out, "metrics.txt"), metrics.to_line() + "\n")
-
     manifest["timings_s"] = {"setup": setup_s, "train": train_s, "eval": eval_s}
     manifest["results"] = {
         "steps": t.steps,
@@ -161,16 +145,17 @@ def cmd_train(args, rc: RunConfig, manifest: dict) -> int:
         "first_loss": report.losses[0] if report.losses else None,
         "final_loss": report.losses[-1] if report.losses else None,
         "metrics": asdict(metrics),
-        "outputs": ["loss_log.txt", "metrics.txt", "model.ckpt"],
     }
     if report.losses:
         print(f"trained {t.steps} steps: loss {report.losses[0]:.4f} -> "
               f"{report.losses[-1]:.4f}")
     print(metrics.to_line())
-    return 0
+    return 0, {"model.ckpt": checkpoint_bytes(model),
+               "loss_log.txt": "".join(log_lines).encode(),
+               "metrics.txt": f"{metrics.to_line()}\n".encode()}
 
 
-def cmd_eval(args, rc: RunConfig, manifest: dict) -> int:
+def cmd_eval(args, rc: RunConfig, manifest: dict) -> tuple[int, dict]:
     if args.pred:
         if not args.gt:
             raise ConfigError("--pred needs --gt to compare against")
@@ -180,7 +165,7 @@ def cmd_eval(args, rc: RunConfig, manifest: dict) -> int:
         report = evaluate(pred.astype(np.float64), gt, mask)
         print(report.to_line())
         manifest["results"] = {"aggregate": asdict(report)}
-        return 0
+        return 0, {}
     if not args.dataset:
         raise ConfigError("eval needs either a dataset directory or --pred/--gt")
 
@@ -211,15 +196,12 @@ def cmd_eval(args, rc: RunConfig, manifest: dict) -> int:
 
     manifest["timings_s"] = {"eval": time.perf_counter() - started}
     manifest["results"] = {"per_sample": per_sample, "aggregate": asdict(aggregate)}
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        lines = [f"{name}: epe={r['epe_px']:.4f}\n" for name, r in per_sample.items()]
-        _write_text(os.path.join(args.out, "metrics.txt"),
-                    "".join(lines) + f"aggregate: {aggregate.to_line()}\n")
-    return 0
+    lines = [f"{name}: epe={r['epe_px']:.4f}\n" for name, r in per_sample.items()]
+    lines.append(f"aggregate: {aggregate.to_line()}\n")
+    return 0, {"metrics.txt": "".join(lines).encode()}
 
 
-def cmd_gradcheck(args, rc: RunConfig, manifest: dict) -> int:
+def cmd_gradcheck(args, rc: RunConfig, manifest: dict) -> tuple[int, dict]:
     started = time.perf_counter()
     results = {}
     worst = 0.0
@@ -236,10 +218,10 @@ def cmd_gradcheck(args, rc: RunConfig, manifest: dict) -> int:
           f"({elapsed:.1f}s)")
     manifest["timings_s"] = {"suite": elapsed}
     manifest["results"] = {"checks": results, "worst": worst, "passed": passed}
-    return 0 if passed else 1
+    return (0 if passed else 1), {}
 
 
-def cmd_ablate(args, rc: RunConfig, manifest: dict) -> int:
+def cmd_ablate(args, rc: RunConfig, manifest: dict) -> tuple[int, dict]:
     started = time.perf_counter()
     report = ablate(
         rc.model, args.axis, rc.train,
@@ -249,13 +231,9 @@ def cmd_ablate(args, rc: RunConfig, manifest: dict) -> int:
     lines = report.lines()
     for line in lines:
         print(line)
-
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_text(os.path.join(args.out, "table.txt"), "\n".join(lines) + "\n")
     manifest["timings_s"] = {"sweep": elapsed}
     manifest["results"] = asdict(report)
-    return 0
+    return 0, {"table.txt": ("\n".join(lines) + "\n").encode()}
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +302,19 @@ def main(argv=None) -> int:
             "timings_s": {},
             "results": {},
         }
-        status = args.func(args, rc, manifest)
+        status, files = args.func(args, rc, manifest)
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-            _write_text(os.path.join(args.out, "manifest.json"),
-                        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(args.out, "manifest.json"))
+            outputs = manifest["results"]["outputs"] = sorted(files)
+            files["manifest.json"] = (json.dumps(manifest, indent=2, sort_keys=True)
+                                      + "\n").encode()
+            written = [*outputs, "manifest.json"]  # the manifest last
+            for name in written:
+                with atomic_write(os.path.join(args.out, name)) as f:
+                    f.write(files[name])
+            print(f"wrote {', '.join(written)} to {args.out}")
         return status
     except (ConfigError, DataFormatError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

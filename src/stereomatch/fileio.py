@@ -200,6 +200,12 @@ def save_sample(directory: str, sample) -> None:
             f.write(blob)
 
 
+def load_image(path: str) -> Tensor:
+    """A binary PPM as a [1,3,H,W] float64 tensor with values in [0, 1]."""
+    with open(path, "rb") as f:
+        return Tensor(read_ppm(f.read()).transpose(2, 0, 1)[None] / 255.0)
+
+
 def load_sample(directory: str):
     """Read a sample bundle written by save_sample."""
     from .synthetic import StereoSample
@@ -208,13 +214,11 @@ def load_sample(directory: str):
         with open(os.path.join(directory, name), "rb") as f:
             return f.read()
 
-    left = read_ppm(blob("left.ppm")).transpose(2, 0, 1)[None] / 255.0
-    right = read_ppm(blob("right.ppm")).transpose(2, 0, 1)[None] / 255.0
     disp, _ = read_pfm(blob("disp.pfm"))
     mask = read_pgm(blob("mask.pgm"))
     return StereoSample(
-        left=Tensor(left),
-        right=Tensor(right),
+        left=load_image(os.path.join(directory, "left.ppm")),
+        right=load_image(os.path.join(directory, "right.ppm")),
         gt_disparity=disp.astype(np.float64)[None, None],
         valid_mask=(mask == _MASK_VALID)[None, None],
         occlusion_mask=(mask == _MASK_OCCLUDED)[None, None],

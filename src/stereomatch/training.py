@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DataFormatError, ShapeError
-from .fileio import _positive, atomic_write
+from .fileio import _positive
 from .losses import total_loss, upsample_disparity
 from .metrics import MetricsReport, evaluate
 from .model import StereoModel
@@ -220,18 +220,16 @@ def heldout_metrics(model: StereoModel, held: StereoSample) -> MetricsReport:
 _CHECKPOINT_MAGIC = b"STCKPT1\n"
 
 
-def save_checkpoint(model: StereoModel, path: str) -> None:
+def checkpoint_bytes(model: StereoModel) -> bytes:
     """Parameters and normalization buffers as named little-endian float64
-    arrays, whatever the model's dtype, in `state_arrays` order.  An existing
-    file at `path` is replaced only once the whole checkpoint is written."""
+    arrays, whatever the model's dtype, in `state_arrays` order."""
     arrays = model.state_arrays()
-    with atomic_write(path) as f:
-        f.write(_CHECKPOINT_MAGIC)
-        f.write(f"{len(arrays)}\n".encode("ascii"))
-        for name, arr in arrays.items():
-            dims = " ".join(str(d) for d in arr.shape)
-            f.write(f"{name} {dims}\n".encode("ascii"))
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    parts = [_CHECKPOINT_MAGIC, f"{len(arrays)}\n".encode("ascii")]
+    for name, arr in arrays.items():
+        dims = " ".join(str(d) for d in arr.shape)
+        parts += [f"{name} {dims}\n".encode("ascii"),
+                  np.ascontiguousarray(arr, dtype="<f8").tobytes()]
+    return b"".join(parts)
 
 
 def load_checkpoint(model: StereoModel, path: str) -> None:

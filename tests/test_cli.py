@@ -76,16 +76,18 @@ REPORT_KEYS = {"epe_px", "d1_percent", "gt1_percent", "gt2_percent", "gt3_percen
     ("infer-gt", 0, {"build", "forward"}, {"outputs", "metrics"}),
     ("train", 0, {"setup", "train", "eval"},
      {"steps", "rejected_steps", "first_loss", "final_loss", "metrics", "outputs"}),
-    ("eval", 0, {"eval"}, {"per_sample", "aggregate"}),
-    ("eval-pred", 0, set(), {"aggregate"}),
-    ("gradcheck", 0, {"suite"}, {"checks", "worst", "passed"}),
-    ("gradcheck-fail", 1, {"suite"}, {"checks", "worst", "passed"}),
-    ("ablate", 0, {"sweep"}, {"axis", "rows", "detach_checks"}),
+    ("eval", 0, {"eval"}, {"per_sample", "aggregate", "outputs"}),
+    ("eval-pred", 0, set(), {"aggregate", "outputs"}),
+    ("gradcheck", 0, {"suite"}, {"checks", "worst", "passed", "outputs"}),
+    ("gradcheck-fail", 1, {"suite"}, {"checks", "worst", "passed", "outputs"}),
+    ("ablate", 0, {"sweep"}, {"axis", "rows", "detach_checks", "outputs"}),
 ])
 def test_every_manifest_holds_its_pinned_keys(tmp_path, monkeypatch, case, status,
                                               timings, results):
     """What each command records, key by key; eval and gradcheck write a
-    manifest only with --out, and a failing gradcheck still writes one."""
+    manifest only with --out, and a failing gradcheck still writes one.  A
+    fresh output directory holds exactly the files that `outputs` lists and
+    the manifest."""
     error = 1.0 if case == "gradcheck-fail" else 0.0
     monkeypatch.setattr(cli, "gradcheck_suite", lambda: [("probe", lambda: error)])
     cfg = write_cfg(tmp_path, text=TINY_CFG.replace("train.steps = 3", "train.steps = 1"))
@@ -121,6 +123,11 @@ def test_every_manifest_holds_its_pinned_keys(tmp_path, monkeypatch, case, statu
     assert manifest["out_dir"] == str(out)
     assert set(manifest["timings_s"]) == timings
     assert set(manifest["results"]) == results
+    outputs = {"infer": ["disp.pfm"], "infer-gt": ["disp.pfm"],
+               "train": ["loss_log.txt", "metrics.txt", "model.ckpt"],
+               "eval": ["metrics.txt"], "ablate": ["table.txt"]}.get(case, [])
+    assert manifest["results"]["outputs"] == outputs
+    assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["manifest.json"])
 
     got = manifest["results"]
     reports = {
@@ -300,12 +307,14 @@ def test_train_writes_checkpoint_log_and_metrics(tmp_path, capsys):
 
 
 def test_failed_text_write_keeps_the_earlier_file(tmp_path, capsys, monkeypatch):
-    """A text output that fails halfway through its write leaves the file of
-    the earlier run byte for byte and no temporary file behind."""
+    """A rerun whose second output fails halfway through its write exits 2,
+    leaves that file of the earlier run byte for byte and no temporary file
+    behind, and leaves no manifest, so the directory does not claim the mix
+    of two runs' files."""
     cfg = write_cfg(tmp_path)
     out = tmp_path / "run"
     assert main(["train", "--config", cfg, "--out", str(out)]) == 0
-    before = (out / "loss_log.txt").read_bytes()
+    before = (out / "metrics.txt").read_bytes()
 
     class HalfWriter:
         def __init__(self, f):
@@ -315,19 +324,52 @@ def test_failed_text_write_keeps_the_earlier_file(tmp_path, capsys, monkeypatch)
             self.f.write(blob[: len(blob) // 2])
             raise OSError("disk full")
 
-    real = cli.atomic_write
+    real, names = cli.atomic_write, []
 
     @contextlib.contextmanager
     def failing_atomic_write(path):
+        names.append(os.path.basename(path))
         with real(path) as f:
-            yield HalfWriter(f) if path.endswith(".txt") else f
+            yield HalfWriter(f) if len(names) == 2 else f
 
     monkeypatch.setattr(cli, "atomic_write", failing_atomic_write)
-    # another seed logs other losses, so an overwrite would show
+    # another seed logs other losses and metrics, so an overwrite would show
     assert main(["train", "--config", cfg, "--seed", "4", "--out", str(out)]) == 2
     assert "disk full" in capsys.readouterr().err
-    assert (out / "loss_log.txt").read_bytes() == before
+    assert names == ["loss_log.txt", "metrics.txt"]
+    assert (out / "metrics.txt").read_bytes() == before
+    assert not (out / "manifest.json").exists()
     assert not list(out.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("case", ["gt-malformed", "gt-wrong-size", "mask-malformed"])
+def test_bad_ground_truth_writes_nothing(tmp_path, capsys, monkeypatch, case):
+    """A bad --gt or --mask exits 2 before the model is built: a fresh
+    output directory is not made, and an earlier run's directory keeps every
+    byte."""
+    cfg = write_cfg(tmp_path)
+    bundle = make_bundle(tmp_path, "s0", seed=18)
+    pair = [str(bundle / "left.ppm"), str(bundle / "right.ppm")]
+    earlier = tmp_path / "earlier"
+    assert main(["infer", *pair, "--config", cfg, "--out", str(earlier)]) == 0
+    before = {p.name: p.read_bytes() for p in earlier.iterdir()}
+
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes({
+        "gt-malformed": b"Pf\n64 32\n-1_0\n" + bytes(4 * 64 * 32),
+        "gt-wrong-size": write_pfm(np.ones((16, 32), np.float32)),
+        "mask-malformed": b"P5\n64 32\n2_55\n" + bytes(64 * 32),
+    }[case])
+    gt = ["--gt", str(bad)] if case.startswith("gt") else [
+        "--gt", str(bundle / "disp.pfm"), "--mask", str(bad)]
+    build, built = cli._build_model, []
+    monkeypatch.setattr(cli, "_build_model", lambda *a: built.append(a) or build(*a))
+    for out in (tmp_path / "fresh", earlier):
+        assert main(["infer", *pair, *gt, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "fresh").exists()
+    assert {p.name: p.read_bytes() for p in earlier.iterdir()} == before
+    assert built == []
 
 
 def test_train_then_infer_from_checkpoint(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from stereomatch import nn
 from stereomatch.errors import DataFormatError
 from stereomatch.fileio import read_pfm, read_pgm, read_ppm, write_pfm, write_pgm, write_ppm
-from stereomatch.training import load_checkpoint, save_checkpoint
+from stereomatch.training import checkpoint_bytes, load_checkpoint
 
 CASES = 300
 # bytes that parse as (parts of) header tokens, so mutations reach past the
@@ -69,8 +69,7 @@ def test_checkpoint_loader_raises_only_data_format_error(tmp_path):
     model = nn.Module()
     model.layers = [nn.ConvBnLeaky(1, 2, (1, 1), rng), nn.Conv(2, 1, (1, 1, 1), rng)]
     path = tmp_path / "model.ckpt"
-    save_checkpoint(model, str(path))
-    blob = path.read_bytes()
+    blob = checkpoint_bytes(model)
 
     rejected = 0
     for data in mutations(blob, seed=7):

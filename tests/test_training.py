@@ -19,11 +19,11 @@ from stereomatch.training import (
     _CHECKPOINT_MAGIC,
     Adam,
     TrainParams,
+    checkpoint_bytes,
     fit,
     load_checkpoint,
     make_dataset,
     sample_loss,
-    save_checkpoint,
     stack_samples,
     train_step,
 )
@@ -197,11 +197,11 @@ class TestCheckpoint:
         s = tiny_sample(3)
         with ad.no_grad():
             want = model(s.left, s.right)[1].values.data
-        path = str(tmp_path / "model.ckpt")
-        save_checkpoint(model, path)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(checkpoint_bytes(model))
 
         fresh = tiny_model(seed=99)  # different init, same architecture
-        load_checkpoint(fresh, path)
+        load_checkpoint(fresh, str(path))
         fresh.eval()
         with ad.no_grad():
             got = fresh(s.left, s.right)[1].values.data
@@ -213,7 +213,7 @@ class TestCheckpoint:
         model = tiny_model(seed=1)
         fit(model, Adam(model), [tiny_sample(2)], steps=2)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, str(path))
+        path.write_bytes(checkpoint_bytes(model))
         state = model.state_arrays()
         blob = path.read_bytes()
         stored = {name: values for name, _, values in stored_entries(blob)}
@@ -226,8 +226,7 @@ class TestCheckpoint:
         for key, a in fresh.state_arrays().items():
             assert a.dtype == np.float32, key
             assert a.tobytes() == state[key].tobytes(), key
-        save_checkpoint(fresh, str(tmp_path / "again.ckpt"))
-        assert (tmp_path / "again.ckpt").read_bytes() == blob
+        assert checkpoint_bytes(fresh) == blob
 
     @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39])
     def test_value_not_finite_in_model_dtype_rejected(self, tmp_path, value):
@@ -236,7 +235,7 @@ class TestCheckpoint:
         warning; the model stays as it was."""
         path = tmp_path / "model.ckpt"
         source = tiny_model(seed=1)
-        save_checkpoint(source, str(path))
+        path.write_bytes(checkpoint_bytes(source))
         name = list(source.state_arrays())[-1]   # every other entry is valid
         poke(path, name, value)
         model = tiny_model(seed=2)
@@ -248,21 +247,21 @@ class TestCheckpoint:
         assert {n: a.tobytes() for n, a in model.state_arrays().items()} == before
 
     def test_shape_mismatch_rejected(self, tmp_path):
-        path = str(tmp_path / "model.ckpt")
-        save_checkpoint(tiny_model(), path)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(checkpoint_bytes(tiny_model()))
         other = tiny_model(backbone=BackboneConfig(stem_channels=6,
                                                    channels=(8, 10, 12, 14)))
         with pytest.raises(DataFormatError, match="shape"):
-            load_checkpoint(other, path)
+            load_checkpoint(other, str(path))
 
     def test_missing_and_unknown_entries_rejected(self, tmp_path):
-        path = str(tmp_path / "model.ckpt")
-        save_checkpoint(tiny_model(afv_enabled=False), path)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(checkpoint_bytes(tiny_model(afv_enabled=False)))
         with pytest.raises(DataFormatError, match="missing"):
-            load_checkpoint(tiny_model(afv_enabled=True), path)
-        save_checkpoint(tiny_model(afv_enabled=True), path)
+            load_checkpoint(tiny_model(afv_enabled=True), str(path))
+        path.write_bytes(checkpoint_bytes(tiny_model(afv_enabled=True)))
         with pytest.raises(DataFormatError, match="unknown"):
-            load_checkpoint(tiny_model(afv_enabled=False), path)
+            load_checkpoint(tiny_model(afv_enabled=False), str(path))
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -272,14 +271,14 @@ class TestCheckpoint:
 
     def test_truncated_checkpoint(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(tiny_model(), str(path))
+        path.write_bytes(checkpoint_bytes(tiny_model()))
         path.write_bytes(path.read_bytes()[:-100])
         with pytest.raises(DataFormatError, match="truncated"):
             load_checkpoint(tiny_model(), str(path))
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(tiny_model(), str(path))
+        path.write_bytes(checkpoint_bytes(tiny_model()))
         path.write_bytes(path.read_bytes() + b"\0" * 28)
         with pytest.raises(DataFormatError, match="after the last entry"):
             load_checkpoint(tiny_model(), str(path))
@@ -287,7 +286,7 @@ class TestCheckpoint:
     def test_repeated_entry_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         source = tiny_model(seed=1)
-        save_checkpoint(source, str(path))
+        path.write_bytes(checkpoint_bytes(source))
         magic, count, body = path.read_bytes().split(b"\n", 2)
         name, bias = next((n, a) for n, a in source.state_arrays().items()
                           if n.endswith("bias"))
@@ -312,7 +311,7 @@ class TestCheckpoint:
         dim, and the default model would load these files; they raise and
         leave the model as it was."""
         path = tmp_path / "model.ckpt"
-        save_checkpoint(StereoModel(ModelConfig(seed=1)), str(path))
+        path.write_bytes(checkpoint_bytes(StereoModel(ModelConfig(seed=1))))
         blob = path.read_bytes()
         assert blob.count(old) == 1
         path.write_bytes(blob.replace(old, new))
@@ -324,7 +323,7 @@ class TestCheckpoint:
 
     def test_rejected_load_leaves_model_untouched(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(tiny_model(seed=1), str(path))
+        path.write_bytes(checkpoint_bytes(tiny_model(seed=1)))
         path.write_bytes(path.read_bytes() + b"junk")
         model = tiny_model(seed=2)
         before = {name: a.tobytes() for name, a in model.state_arrays().items()}
@@ -336,13 +335,14 @@ class TestCheckpoint:
     def test_failed_save_leaves_existing_checkpoint(self, tmp_path, monkeypatch):
         model = tiny_model()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, str(path))
+        path.write_bytes(checkpoint_bytes(model))
         before = path.read_bytes()
-        # the last entry cannot be encoded, so the save fails after the others
+        # the last entry cannot be encoded, so the encoder fails after the
+        # others, and before a byte of the file is written
         arrays = dict(model.state_arrays(), broken=np.array(["not a number"]))
         monkeypatch.setattr(model, "state_arrays", lambda: arrays)
         with pytest.raises(ValueError):
-            save_checkpoint(model, str(path))
+            path.write_bytes(checkpoint_bytes(model))
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.ckpt"]
 
