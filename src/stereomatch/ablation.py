@@ -1,8 +1,11 @@
 """Ablation sweeps over the attention volume, fusion placement, and the
 context-gradient toggle.
 
-Every row of a sweep trains with the run's `TrainParams` on one shared
-`training.split`, exactly as `stereomatch train` does, and is scored with
+Each row of an axis in `AXES` is a set of run-config overrides, written as a
+run file writes them (`cgf.positions=` is the empty list) and applied with
+`runconfig.apply_pairs`.  Every row trains with the run's `TrainParams` on
+one shared `training.split`, exactly as `stereomatch train` does with the
+run's config plus the row's overrides, and is scored with
 `training.heldout_metrics`, so rows differ only in architecture.  The detach
 axis additionally verifies the gradient-flow claim it encodes: stopping the
 context branch must zero the gradients of exactly the parameters that have no
@@ -12,7 +15,8 @@ values untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from copy import deepcopy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,16 +24,35 @@ from . import autodiff as ad
 from .errors import ConfigError
 from .metrics import MetricsReport
 from .model import ModelConfig, StereoModel
+from .runconfig import RunConfig, apply_pairs
 from .training import (
     Adam, TrainParams, fit, heldout_metrics, make_dataset, sample_loss, split,
 )
 
-AXES = ("afv", "cgf_position", "detach")
+AXES = {
+    "afv": {
+        "baseline": {"afv_enabled": "false", "cgf.positions": ""},
+        "afv": {"afv_enabled": "true", "cgf.positions": ""},
+        "cgf": {"afv_enabled": "false", "cgf.positions": "decoder"},
+        "afv_cgf": {"afv_enabled": "true", "cgf.positions": "decoder"},
+    },
+    "cgf_position": {
+        "none": {"cgf.positions": ""},
+        "encoder": {"cgf.positions": "encoder"},
+        "decoder": {"cgf.positions": "decoder"},
+        "encoder_decoder": {"cgf.positions": "encoder,decoder"},
+    },
+    "detach": {
+        "backprop_context": {"cgf.detach_context": "false"},
+        "detach_context": {"cgf.detach_context": "true"},
+    },
+}
 
 
 @dataclass
 class AblationRow:
     name: str
+    overrides: dict  # the run-config keys this row sets, as AXES lists them
     param_count: int
     final_loss: float | None  # None when the run trains zero steps
     metrics: MetricsReport
@@ -59,43 +82,13 @@ class AblationReport:
         return out
 
 
-def _with(base: ModelConfig, *, afv=None, positions=None, detach=None) -> ModelConfig:
-    cgf = base.cgf
-    if positions is not None or detach is not None:
-        cgf = replace(
-            cgf,
-            positions=cgf.positions if positions is None else tuple(positions),
-            detach_context=cgf.detach_context if detach is None else detach,
-        )
-    return replace(
-        base,
-        cgf=cgf,
-        afv_enabled=base.afv_enabled if afv is None else afv,
-    )
-
-
 def config_rows(base: ModelConfig, axis: str) -> list:
-    """Named configurations for one sweep axis."""
-    if axis == "afv":
-        return [
-            ("baseline", _with(base, afv=False, positions=())),
-            ("afv", _with(base, afv=True, positions=())),
-            ("cgf", _with(base, afv=False, positions=("decoder",))),
-            ("afv_cgf", _with(base, afv=True, positions=("decoder",))),
-        ]
-    if axis == "cgf_position":
-        return [
-            ("none", _with(base, positions=())),
-            ("encoder", _with(base, positions=("encoder",))),
-            ("decoder", _with(base, positions=("decoder",))),
-            ("encoder_decoder", _with(base, positions=("encoder", "decoder"))),
-        ]
-    if axis == "detach":
-        return [
-            ("backprop_context", _with(base, detach=False)),
-            ("detach_context", _with(base, detach=True)),
-        ]
-    raise ConfigError(f"unknown ablation axis {axis!r}; expected one of {AXES}")
+    """(name, config) for each row of one sweep axis: the row's overrides
+    applied to a copy of base, which stays as it was."""
+    if axis not in AXES:
+        raise ConfigError(f"unknown ablation axis {axis!r}; expected one of {tuple(AXES)}")
+    return [(name, apply_pairs(RunConfig(model=deepcopy(base)), pairs).model.validate())
+            for name, pairs in AXES[axis].items()]
 
 
 def _context_only_params(model: StereoModel) -> list:
@@ -111,16 +104,15 @@ def _context_only_params(model: StereoModel) -> list:
 def verify_detach(base: ModelConfig, train: TrainParams) -> dict:
     """Gradient-flow evidence for the detach row.
 
-    Builds the two rows with identical weights, checks their forwards agree
-    bit-for-bit, then backpropagates the training loss of the run's first
+    Builds the models of the two `detach` rows, which share their weights,
+    checks their forwards agree bit-for-bit, then backpropagates the training loss of the run's first
     training sample through the detached model and splits parameters by exact
     zero-ness of their gradients.
     """
     sample = make_dataset(train.data_seed, 1, train.height, train.width,
                           base.matching.max_disparity, train.mode,
                           train.constant_disparity)[0]
-    attached = StereoModel(_with(base, detach=False))
-    detached = StereoModel(_with(base, detach=True))
+    attached, detached = (StereoModel(cfg) for _, cfg in config_rows(base, "detach"))
     attached.eval()
     detached.eval()
     with ad.no_grad():
@@ -154,6 +146,7 @@ def ablate(base: ModelConfig, axis: str, train: TrainParams,
         report = fit(model, Adam(model, train), train_batches, train.steps)
         row = AblationRow(
             name=name,
+            overrides=dict(AXES[axis][name]),
             param_count=model.param_count(),
             final_loss=report.losses[-1] if report.losses else None,
             metrics=heldout_metrics(model, held),

@@ -2,7 +2,8 @@
 
 `main` resolves the configuration, runs the command, and owns the output
 directory (infer, train and ablate always have one; eval and gradcheck only
-with --out).  A command fills in only the manifest's timings and results and
+with --out); an --out that is a file or lies under one fails before the
+command runs.  A command fills in only the manifest's timings and results and
 returns its exit status with its output files as {name: bytes}; it writes
 nothing.  Once the command has returned, `main` removes any earlier
 manifest.json, writes each file, then writes the manifest last, listing the
@@ -293,6 +294,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         rc = _resolve_config(args)
+        if args.out:  # an --out that cannot become a directory fails before the run
+            nearest = os.path.abspath(args.out)
+            while not os.path.lexists(nearest):
+                nearest = os.path.dirname(nearest)
+            if not os.path.isdir(nearest):
+                raise ConfigError(f"--out {args.out}: {nearest} is not a directory")
         manifest = {
             "command": args.command,
             "environment": _environment(),

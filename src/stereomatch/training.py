@@ -125,13 +125,6 @@ def stack_samples(samples: list[StereoSample]) -> StereoSample:
     )
 
 
-def batches(samples: list[StereoSample], batch_size: int) -> list[StereoSample]:
-    """Consecutive groups of batch_size samples (the last may be shorter),
-    each stacked along the batch axis."""
-    return [stack_samples(samples[i:i + batch_size])
-            for i in range(0, len(samples), batch_size)]
-
-
 def sample_loss(model: StereoModel, sample: StereoSample):
     d0, d1 = model(sample.left, sample.right)
     return total_loss(upsample_disparity(d0.values, 4), d1.values,
@@ -199,13 +192,16 @@ def make_dataset(data_seed: int, count: int, height: int, width: int,
 
 
 def split(train: TrainParams, max_disparity: int) -> tuple[list[StereoSample], StereoSample]:
-    """The run's training batches (samples from data_seed) and its held-out
-    batch (samples from data_seed + 10_000)."""
+    """The run's training batches (consecutive groups of batch_size samples
+    from data_seed, the last may be shorter, each stacked along the batch
+    axis) and its held-out batch (samples from data_seed + 10_000)."""
     def samples(seed, count):
         return make_dataset(seed, count, train.height, train.width, max_disparity,
                             train.mode, train.constant_disparity)
 
-    return (batches(samples(train.data_seed, train.train_samples), train.batch_size),
+    pool = samples(train.data_seed, train.train_samples)
+    return ([stack_samples(pool[i:i + train.batch_size])
+             for i in range(0, len(pool), train.batch_size)],
             stack_samples(samples(train.data_seed + 10_000, train.eval_samples)))
 
 

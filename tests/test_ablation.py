@@ -1,9 +1,13 @@
 """Sweep construction and the gradient-flow evidence for the detach row."""
 
+import copy
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
 from stereomatch.ablation import AXES, ablate, config_rows, verify_detach
+from stereomatch.aggregation import CgfConfig
 from stereomatch.backbone import BackboneConfig
 from stereomatch.correlation import MatchingConfig
 from stereomatch.errors import ConfigError
@@ -59,6 +63,46 @@ def test_base_is_not_mutated():
     assert base.cgf.positions == ("decoder",)
     assert not base.cgf.detach_context
     assert base.afv_enabled
+
+
+# every row as (name, ModelConfig fields it sets, CgfConfig fields it sets)
+PINNED_ROWS = {
+    "afv": [
+        ("baseline", {"afv_enabled": False}, {"positions": ()}),
+        ("afv", {"afv_enabled": True}, {"positions": ()}),
+        ("cgf", {"afv_enabled": False}, {"positions": ("decoder",)}),
+        ("afv_cgf", {"afv_enabled": True}, {"positions": ("decoder",)}),
+    ],
+    "cgf_position": [
+        ("none", {}, {"positions": ()}),
+        ("encoder", {}, {"positions": ("encoder",)}),
+        ("decoder", {}, {"positions": ("decoder",)}),
+        ("encoder_decoder", {}, {"positions": ("encoder", "decoder")}),
+    ],
+    "detach": [
+        ("backprop_context", {}, {"detach_context": False}),
+        ("detach_context", {}, {"detach_context": True}),
+    ],
+}
+
+
+@pytest.mark.parametrize("base", [
+    tiny_base(),
+    tiny_base(seed=7, afv_enabled=False,
+              cgf=CgfConfig(positions=("encoder",), detach_context=True)),
+], ids=["default-switches", "flipped-switches"])
+def test_every_row_is_base_with_only_its_pinned_fields(base):
+    """All ten rows, field by field: a row sets exactly its pinned fields,
+    keeps every other field of base, and leaves base as it was."""
+    before = copy.deepcopy(base)
+    assert list(AXES) == list(PINNED_ROWS)
+    for axis, pinned in PINNED_ROWS.items():
+        rows = config_rows(base, axis)
+        assert [name for name, _ in rows] == [name for name, _, _ in pinned]
+        for (name, cfg), (_, model_fields, cgf_fields) in zip(rows, pinned):
+            expected = replace(base, cgf=replace(base.cgf, **cgf_fields), **model_fields)
+            assert asdict(cfg) == asdict(expected), (axis, name)
+    assert asdict(base) == asdict(before)
 
 
 def test_verify_detach_reports_expected_split():

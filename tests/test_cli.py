@@ -11,6 +11,8 @@ import pytest
 from stereomatch import cli
 from stereomatch.cli import main
 from stereomatch.fileio import read_pfm, save_sample, write_pfm
+from stereomatch.model import StereoModel
+from stereomatch.runconfig import load_run_config
 from stereomatch.synthetic import synth_stereo
 
 TINY_CFG = """
@@ -140,7 +142,7 @@ def test_every_manifest_holds_its_pinned_keys(tmp_path, monkeypatch, case, statu
     assert all(set(report) == REPORT_KEYS for report in reports)
     if case == "ablate":
         assert [set(row) for row in got["rows"]] == [
-            {"name", "param_count", "final_loss", "metrics"}] * 2
+            {"name", "overrides", "param_count", "final_loss", "metrics"}] * 2
     if case.startswith("gradcheck"):
         assert got["passed"] is (status == 0)
 
@@ -262,6 +264,26 @@ def test_path_of_the_wrong_kind_exits_2(tmp_path, capsys, case):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_out_under_a_file_exits_2_before_training(tmp_path, capsys, monkeypatch, under):
+    """An --out that is a file, or lies under one, exits 2 with one error
+    line before any training step, and creates nothing."""
+    cfg = write_cfg(tmp_path)
+    a_file = tmp_path / "a_file"
+    a_file.write_bytes(b"kept")
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit ran although --out cannot be a directory")
+
+    monkeypatch.setattr(cli, "fit", no_fit)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["train", "--config", cfg, "--out", str(a_file / under)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(a_file) in err
+    assert a_file.read_bytes() == b"kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -472,8 +494,15 @@ def test_ablate_detach_writes_table(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     rows = manifest["results"]["rows"]
     assert [r["name"] for r in rows] == ["backprop_context", "detach_context"]
+    assert [r["overrides"] for r in rows] == [{"cgf.detach_context": "false"},
+                                              {"cgf.detach_context": "true"}]
     assert rows[0]["param_count"] == rows[1]["param_count"]
     assert manifest["results"]["detach_checks"]["forward_bit_identical"] is True
+    # each row is the manifest's config plus its overrides, as `train` would run it
+    for row in rows:
+        rc = load_run_config(manifest["config"], row["overrides"])
+        assert rc.model.cgf.detach_context == (row["name"] == "detach_context")
+        assert StereoModel(rc.model).param_count() == row["param_count"]
 
 
 def test_ablate_honours_train_mode_and_batch_size(tmp_path, capsys, monkeypatch):
