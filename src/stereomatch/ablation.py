@@ -84,9 +84,14 @@ class AblationReport:
 
 def config_rows(base: ModelConfig, axis: str) -> list:
     """(name, config) for each row of one sweep axis: the row's overrides
-    applied to a copy of base, which stays as it was."""
+    applied to a copy of base, which stays as it was.  The detach rows toggle
+    the CGF blocks' context gradient, so without a CGF block they would be
+    one model twice and the detach check would pass on nothing."""
     if axis not in AXES:
         raise ConfigError(f"unknown ablation axis {axis!r}; expected one of {tuple(AXES)}")
+    if axis == "detach" and not base.cgf.positions:
+        raise ConfigError("ablation axis 'detach' needs a CGF block, "
+                          "but cgf.positions is empty")
     return [(name, apply_pairs(RunConfig(model=deepcopy(base)), pairs).model.validate())
             for name, pairs in AXES[axis].items()]
 
@@ -109,10 +114,10 @@ def verify_detach(base: ModelConfig, train: TrainParams) -> dict:
     training sample through the detached model and splits parameters by exact
     zero-ness of their gradients.
     """
+    attached, detached = (StereoModel(cfg) for _, cfg in config_rows(base, "detach"))
     sample = make_dataset(train.data_seed, 1, train.height, train.width,
                           base.matching.max_disparity, train.mode,
                           train.constant_disparity)[0]
-    attached, detached = (StereoModel(cfg) for _, cfg in config_rows(base, "detach"))
     attached.eval()
     detached.eval()
     with ad.no_grad():
@@ -139,9 +144,10 @@ def ablate(base: ModelConfig, axis: str, train: TrainParams,
            on_row=None) -> AblationReport:
     """Train every configuration along one axis as `stereomatch train` would,
     on one shared split, and score each on the held-out batch."""
+    configs = config_rows(base, axis)  # a bad axis fails before any data is made
     train_batches, held = split(train, base.matching.max_disparity)
     rows = []
-    for name, cfg in config_rows(base, axis):
+    for name, cfg in configs:
         model = StereoModel(cfg)
         report = fit(model, Adam(model, train), train_batches, train.steps)
         row = AblationRow(

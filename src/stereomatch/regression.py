@@ -30,9 +30,12 @@ class DisparityMap:
 def top2_softargmax(cost: Tensor) -> Tensor:
     """Per-pixel expectation over a 2-way softmax of the two largest costs.
 
-    cost: [B,1,D,H,W] -> [B,1,H,W].  Ties resolve to the smaller disparity
-    index first.  Gradients flow only through the two selected cost values;
-    the selection itself is treated as constant.
+    cost: [B,1,D,H,W] -> [B,1,H,W], with finite costs.  Ties resolve to the
+    smaller disparity index first, as a stable sort would: the best index is
+    the first argmax, the runner-up the first argmax once the best is masked
+    to -inf (an infinite cost could tie with that mask).  Gradients flow only
+    through the two selected cost values; the selection itself is treated as
+    constant.
     """
     if cost.ndim != 5 or cost.shape[1] != 1:
         raise ShapeError(f"expected [B,1,D,H,W] cost, got {cost.shape}")
@@ -41,10 +44,11 @@ def top2_softargmax(cost: Tensor) -> Tensor:
         raise ShapeError(f"top-2 selection needs D >= 2, got D={num_disp}")
 
     c = cost.data[:, 0]  # [B,D,H,W]
-    order = np.argsort(-c, axis=1, kind="stable")
-    i1 = order[:, 0]
-    i2 = order[:, 1]
+    i1 = np.argmax(c, axis=1)
     v1 = np.take_along_axis(c, i1[:, None], axis=1)[:, 0]
+    rest = c.copy()
+    np.put_along_axis(rest, i1[:, None], -np.inf, axis=1)
+    i2 = np.argmax(rest, axis=1)
     v2 = np.take_along_axis(c, i2[:, None], axis=1)[:, 0]
     # v1 >= v2, so exp(v2 - v1) <= 1 and nothing overflows.
     e2 = np.exp(v2 - v1)

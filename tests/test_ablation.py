@@ -105,6 +105,15 @@ def test_every_row_is_base_with_only_its_pinned_fields(base):
     assert asdict(base) == asdict(before)
 
 
+def test_detach_axis_needs_a_cgf_block():
+    base = tiny_base(cgf=CgfConfig(positions=()))
+    with pytest.raises(ConfigError, match="'detach' needs a CGF block"):
+        config_rows(base, "detach")
+    with pytest.raises(ConfigError, match="'detach' needs a CGF block"):
+        verify_detach(base, TrainParams(height=32, width=64, data_seed=5))
+    assert [name for name, _ in config_rows(base, "afv")] == list(AXES["afv"])
+
+
 def test_verify_detach_reports_expected_split():
     checks = verify_detach(tiny_base(), TrainParams(height=32, width=64, data_seed=5))
     assert checks["forward_bit_identical"]

@@ -2,6 +2,7 @@
 main() with outputs going to pytest temp dirs."""
 
 import contextlib
+import ctypes
 import json
 import os
 
@@ -431,6 +432,10 @@ def test_manifest_records_environment(tmp_path, monkeypatch):
     assert all(k.endswith("_NUM_THREADS") for k in env["threads"])
     assert env["dtype"] == "float32"
     assert env["cpus"] == len(os.sched_getaffinity(0))
+    if hasattr(ctypes.CDLL(None), "mallopt"):
+        assert env["malloc"] == {"mmap_threshold": 32 << 20, "trim_threshold": 1 << 30}
+    else:
+        assert env["malloc"] is None
 
 
 def test_eval_dataset_prints_per_sample_and_aggregate(tmp_path, capsys):
@@ -550,6 +555,25 @@ def test_ablate_zero_steps_reports_no_loss(tmp_path, capsys):
     assert all("loss=none" in line for line in table[:2])
     rows = json.loads((out / "manifest.json").read_text())["results"]["rows"]
     assert [r["final_loss"] for r in rows] == [None, None]
+
+
+def test_ablate_detach_without_cgf_exits_2_before_training(tmp_path, capsys, monkeypatch):
+    """With no CGF block the two detach rows are one model, so the sweep
+    exits 2 before it makes data or trains a step, and writes nothing."""
+    import stereomatch.ablation as ablation
+
+    def never(*args, **kwargs):
+        raise AssertionError("the detach sweep ran without a CGF block")
+
+    for name in ("split", "fit", "make_dataset"):
+        monkeypatch.setattr(ablation, name, never)
+    cfg = write_cfg(tmp_path, text=TINY_CFG + "cgf.positions =\n")
+    out = tmp_path / "out"
+    assert main(["ablate", "--axis", "detach", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: ablation axis 'detach' needs a CGF block, "
+                   "but cgf.positions is empty\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["lr", "lr_decay_factor"])

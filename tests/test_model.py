@@ -1,6 +1,9 @@
 """Whole-pipeline composition: shapes, determinism, config plumbing."""
 
+import ctypes
 import hashlib
+import resource
+import statistics
 
 import numpy as np
 import pytest
@@ -120,3 +123,24 @@ def test_state_order_is_pinned(config, count, first_buffer, digest):
         "backbone.stem.bn.running_mean", "backbone.stem.bn.running_var"]
     assert names[-1] == "decoder.up3.refine2.bn.running_var"
     assert hashlib.sha256("\n".join(names).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="no mallopt (not glibc)")
+def test_steady_no_grad_forward_faults_in_no_pages():
+    """Importing the engine keeps freed heap memory mapped, so once a few
+    forwards have grown the heap, a forward reuses the pages the last one
+    freed.  Under glibc's dynamic trim threshold each 64x128 forward faulted
+    in about 355 pages again."""
+    model = StereoModel(ModelConfig())
+    model.eval()
+    s = synth_stereo(0, 64, 128, 192, "slanted_planes")
+
+    def faults():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        with ad.no_grad():
+            model(s.left, s.right)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    for _ in range(8):  # warm-up: the heap reaches its high-water mark
+        faults()
+    assert statistics.median(faults() for _ in range(7)) == 0

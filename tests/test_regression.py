@@ -49,6 +49,40 @@ class TestTop2:
         want = top2_softargmax_naive(cost)
         assert np.abs(got - want).max() <= 1e-12
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_planted_ties_match_stable_argsort_oracle(self, dtype):
+        """The two selected indices equal the first two of a stable argsort
+        over D, ties included: forward values and the gradient, which lands
+        on exactly those two indices, agree bit for bit."""
+        rng = np.random.default_rng(11)
+        c = rng.integers(-3, 4, (2, 12, 5, 6)).astype(dtype)  # ties everywhere
+        c[0, :, 0, 0] = 1.5  # every candidate ties
+        c[0, :, 0, 1] = -2.0
+        c[0, [4, 9], 0, 1] = 3.0  # the best two tie
+        c[1, :, 1, 1] = 0.0
+        c[1, [2, 5, 7], 1, 1] = [4.0, 2.5, 2.5]  # the runner-up ties
+        g = rng.standard_normal((2, 1, 5, 6)).astype(dtype)
+
+        order = np.argsort(-c, axis=1, kind="stable")
+        i1, i2 = order[:, :1], order[:, 1:2]
+        v1 = np.take_along_axis(c, i1, axis=1)[:, 0]
+        v2 = np.take_along_axis(c, i2, axis=1)[:, 0]
+        e2 = np.exp(v2 - v1)
+        w1, w2 = 1.0 / (1.0 + e2), e2 / (1.0 + e2)
+        want = w1 * i1[:, 0].astype(dtype) + w2 * i2[:, 0].astype(dtype)
+        coef = g[:, 0] * w1 * w2 * (i1 - i2)[:, 0].astype(dtype)
+        want_grad = np.zeros_like(c)
+        np.put_along_axis(want_grad, i1, coef[:, None], axis=1)
+        np.put_along_axis(want_grad, i2, -coef[:, None], axis=1)
+
+        cost = ad.Tensor(c[:, None], requires_grad=True)
+        d0 = top2_softargmax(cost)
+        ad.backward(ad.tsum(ad.mul(d0, ad.Tensor(g))), ensure=[cost])
+        assert np.array_equal(d0.data[:, 0], want)
+        assert np.array_equal(cost.grad[:, 0], want_grad)
+        assert d0.data[0, 0, 0, 0] == 0.5 and d0.data[0, 0, 0, 1] == 6.5
+        assert d0.data[1, 0, 1, 1] == pytest.approx(2 + 3 * np.exp(-1.5) / (1 + np.exp(-1.5)))
+
     def test_shift_invariance(self):
         # costs on a 1/8 grid so adding 7.25 is exact in binary, making the
         # invariance checkable bit-for-bit rather than up to rounding noise
