@@ -6,11 +6,12 @@ run file writes them (`cgf.positions=` is the empty list) and applied with
 `runconfig.apply_pairs`.  Every row trains with the run's `TrainParams` on
 one shared `training.split`, exactly as `stereomatch train` does with the
 run's config plus the row's overrides, and is scored with
-`training.heldout_metrics`, so rows differ only in architecture.  The detach
-axis additionally verifies the gradient-flow claim it encodes: stopping the
-context branch must zero the gradients of exactly the parameters that have no
-other route to the loss (the fusers' projection layers), while leaving forward
-values untouched.
+`training.heldout_metrics`, so rows differ only in architecture.  Each row
+records that resolved run file, which `stereomatch train --config` reruns.
+The detach axis additionally verifies the gradient-flow claim it encodes:
+stopping the context branch must zero the gradients of exactly the parameters
+that have no other route to the loss (the fusers' projection layers), while
+leaving forward values untouched.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import autodiff as ad
 from .errors import ConfigError
 from .metrics import MetricsReport
 from .model import ModelConfig, StereoModel
-from .runconfig import RunConfig, apply_pairs
+from .runconfig import RunConfig, apply_pairs, run_config_to_text
 from .training import (
     Adam, TrainParams, fit, heldout_metrics, make_dataset, sample_loss, split,
 )
@@ -53,6 +54,7 @@ AXES = {
 class AblationRow:
     name: str
     overrides: dict  # the run-config keys this row sets, as AXES lists them
+    config: str  # the row's resolved run file: `stereomatch train --config` reruns it
     param_count: int
     final_loss: float | None  # None when the run trains zero steps
     metrics: MetricsReport
@@ -153,6 +155,7 @@ def ablate(base: ModelConfig, axis: str, train: TrainParams,
         row = AblationRow(
             name=name,
             overrides=dict(AXES[axis][name]),
+            config=run_config_to_text(RunConfig(model=cfg, train=train)),
             param_count=model.param_count(),
             final_loss=report.losses[-1] if report.losses else None,
             metrics=heldout_metrics(model, held),

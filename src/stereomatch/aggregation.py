@@ -117,7 +117,11 @@ class _UpsampleBlock(nn.Module):
         y = self.up_bn(self.up(x))
         if y.shape != skip.shape:
             raise ShapeError(f"skip shape {skip.shape} does not match upsampled {y.shape}")
-        return self.refine2(self.refine1(ad.add(y, skip)))
+        # one statement per step, so that a no-grad forward frees each input
+        # once the next step has read it
+        y = ad.add(y, skip)
+        y = self.refine1(y)
+        return self.refine2(y)
 
 
 class Encoder(nn.Module):

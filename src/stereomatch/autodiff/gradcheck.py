@@ -25,7 +25,9 @@ def grad_check(
     Returns the worst relative error over the checked coordinates, where the
     relative error of a pair (a, n) is |a - n| / max(|a|, |n|, 1e-8).  When
     `max_coords` is given, a seeded subsample of input coordinates is checked
-    instead of all of them (useful for whole-pipeline programs).
+    instead of all of them (useful for whole-pipeline programs).  Every call
+    of `fn` gets its own copy of the point, so `fn` may consume its input's
+    data, as `batch_norm` does.
     """
     base = np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
     probe = Tensor(base.copy(), requires_grad=True)
@@ -47,9 +49,9 @@ def grad_check(
         for i in coords:
             saved = flat[i]
             flat[i] = saved + step
-            f_plus = fn(Tensor(base)).item()
+            f_plus = fn(Tensor(base.copy())).item()
             flat[i] = saved - step
-            f_minus = fn(Tensor(base)).item()
+            f_minus = fn(Tensor(base.copy())).item()
             flat[i] = saved
             numeric = (f_plus - f_minus) / (2.0 * step)
             denom = max(abs(analytic[i]), abs(numeric), 1e-8)

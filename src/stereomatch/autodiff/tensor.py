@@ -41,6 +41,9 @@ _GRAD_ENABLED = True
 # defaults, which the paper's code keeps
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
+# below this |gamma| a batch-norm channel keeps its normalized input for the
+# backward rather than recovering it from the output (see batch_norm)
+GAMMA_FLOOR = 0.05
 
 
 def is_grad_enabled() -> bool:
@@ -71,7 +74,10 @@ class Tensor:
         array and float64 for any other input.  The model computes in float32;
         every op, oracle and gradient check also runs in float64.  Treated as
         immutable once the tensor has entered a graph (optimizers may rewrite
-        leaf data between graph lifetimes).
+        leaf data between graph lifetimes), with one exception:
+        :func:`batch_norm` consumes its input, writing its output into the
+        input's array, so a tensor passed to it must be one that nothing
+        else reads afterwards, such as a fresh conv output.
     grad:
         Accumulated gradient, ``None`` until populated by :func:`backward`.
         After a sweep only leaves (and tensors passed as ``ensure``) hold
@@ -340,18 +346,19 @@ def leaky_relu(t, negative_slope: float) -> Tensor:
     np.maximum(t.data, out_data, out=out_data)
 
     def bw(g):
-        return (_leaky_grad(t.data, t.data.dtype.type(negative_slope), g),)
+        grad = _leaky_slope(t.data, t.data.dtype.type(negative_slope))
+        grad *= g
+        return (grad,)
 
     return _node(out_data, (t,), bw)
 
 
-def _leaky_grad(x: np.ndarray, slope, g: np.ndarray) -> np.ndarray:
-    """g times the leaky derivative at x, 1.0 where x >= 0 and else slope
-    (of x's dtype): the mask times (1 - slope), plus slope, is exactly one of
-    the two for a slope in [0, 1], without the branches of np.where."""
+def _leaky_slope(x: np.ndarray, slope) -> np.ndarray:
+    """The leaky derivative at x, 1.0 where x >= 0 and else slope (of x's
+    dtype): the mask times (1 - slope), plus slope, is exactly one of the two
+    for a slope in [0, 1], without the branches of np.where."""
     grad = (x >= 0) * (1 - slope)
     grad += slope
-    grad *= g
     return grad
 
 
@@ -441,7 +448,15 @@ def batch_norm(
     statistics, updating the buffers in place to ``(1 - BN_MOMENTUM) * old +
     BN_MOMENTUM * new`` (unbiased variance in the buffer, biased in the
     normalization).  Both compute ``(x - mean) * inv * gamma + beta``, with
-    ``inv = 1 / sqrt(var + BN_EPS)``, in that order, on one new array."""
+    ``inv = 1 / sqrt(var + BN_EPS)``, in that order.
+
+    The node consumes its input (in-place activated batch norm, Rota Bulò et
+    al., arXiv:1712.02616): the output is written into ``x.data`` itself,
+    which keeps x's dtype, so nothing may read ``x.data`` after this call.
+    Only an array that is not writeable or not C-contiguous is copied
+    first.  The backward recovers the normalized input from the output,
+    ``xhat = (leaky^-1(y) - beta) / gamma``; a channel whose ``|gamma|`` is
+    below `GAMMA_FLOOR` keeps its normalized input instead."""
     # the backward reads the leaky derivative from the sign of the output,
     # which tells the two sides apart only for a positive slope
     if not 0.0 < negative_slope <= 1.0:
@@ -460,24 +475,29 @@ def batch_norm(
     count = x.data.size // channels
 
     # C order, so that out_data.reshape(-1) below is a view
+    out_data = x.data
+    if not (out_data.flags.c_contiguous and out_data.flags.writeable):
+        out_data = np.array(out_data, order="C")
     if training:
-        mean = x.data.mean(axis=axes, keepdims=True)
-        out_data = np.subtract(x.data, mean, order="C")
+        mean = out_data.mean(axis=axes, keepdims=True)
+        out_data -= mean
         var = np.square(out_data).mean(axis=axes)  # bit for bit x.var, one pass fewer
         for buf, new in ((running_mean, mean.reshape(channels)),
                          (running_var, var * count / max(count - 1, 1))):
             buf *= 1.0 - BN_MOMENTUM
             buf += BN_MOMENTUM * new
     else:
-        # a copy: a train-mode forward may update the buffer in place before
-        # this node's backward recomputes the normalized x from it
-        mean, var = running_mean.reshape(cshape).copy(), running_var
-        out_data = np.subtract(x.data, mean, order="C")
+        out_data -= running_mean.reshape(cshape)
+        var = running_var
     inv = (1.0 / np.sqrt(var + BN_EPS)).reshape(cshape)
     gamma_c = gamma.data.reshape(cshape)
+    beta_c = beta.data.reshape(cshape)
     out_data *= inv
+    low = np.abs(gamma.data) < GAMMA_FLOOR
+    kept = out_data[:, low] if low.any() else None  # those channels' xhat, a copy
+    divisor = np.where(low, 1, gamma.data).reshape(cshape)
     out_data *= gamma_c
-    out_data += beta.data.reshape(cshape)
+    out_data += beta_c
     # max(v, slope * v) in place, in blocks: no full-size temporary
     slope = out_data.dtype.type(negative_slope)
     flat = out_data.reshape(-1)
@@ -487,9 +507,13 @@ def batch_norm(
         np.maximum(part, np.multiply(part, slope, out=tmp[: part.size]), out=part)
 
     def bw(g):
-        dy = _leaky_grad(out_data, slope, g)
-        xhat = x.data - mean  # recomputed: the forward keeps only its output
-        xhat *= inv
+        dy = _leaky_slope(out_data, slope)
+        xhat = out_data / dy  # leaky^-1(y): y over the leaky's slope at y
+        dy *= g
+        xhat -= beta_c
+        xhat /= divisor
+        if kept is not None:
+            xhat[:, low] = kept
         dx = np.multiply(dy, xhat)
         dgamma = dx.sum(axis=axes)
         dbeta = dy.sum(axis=axes)

@@ -3,16 +3,19 @@
 `main` resolves the configuration, runs the command, and owns the output
 directory (infer, train and ablate always have one; eval and gradcheck only
 with --out); an --out that is a file or lies under one fails before the
-command runs.  A command fills in only the manifest's timings and results and
+command runs, and so does an earlier manifest.json there that cannot be
+read.  A command fills in only the manifest's timings and results and
 returns its exit status with its output files as {name: bytes}; it writes
 nothing.  Once the command has returned, `main` removes any earlier
-manifest.json, writes each file, then writes the manifest last, listing the
-files under results.outputs and recording the resolved configuration, seed,
-timings and results, so any run can be reproduced from the manifest alone.
-A command that stops on an error writes nothing, and a directory whose
-manifest exists holds that run's outputs.  Every file is written atomically,
-via rename.  Exit codes: 0 success, 1 internal failure (including gradient
-checks out of tolerance), 2 user or configuration error.
+manifest.json and the files it lists under results.outputs (plain file names
+only) that this run does not write, writes each file, then writes the
+manifest last, listing the files under results.outputs and recording the
+resolved configuration, seed, timings and results, so any run can be
+reproduced from the manifest alone.  A command that stops on an error writes
+nothing, and a directory whose manifest exists holds that run's outputs and
+no other run's.  Every file is written atomically, via rename.  Exit codes:
+0 success, 1 internal failure (including gradient checks out of tolerance),
+2 user or configuration error.
 """
 
 from __future__ import annotations
@@ -87,6 +90,25 @@ def _load_gt(gt_path: str, mask_path: str | None, max_disparity: int):
         with open(mask_path, "rb") as f:
             return gt, read_pgm(f.read()) == 255
     return gt, valid_mask_from_gt(gt, max_disparity)
+
+
+def _earlier_outputs(out: str) -> list[str]:
+    """The plain file names that an earlier manifest.json in `out` lists
+    under results.outputs; none when there is no manifest."""
+    path = os.path.join(out, "manifest.json")
+    try:
+        with open(path, "rb") as f:
+            manifest = json.loads(f.read())
+    except FileNotFoundError:
+        return []
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise DataFormatError(f"earlier manifest {path} is unreadable: {exc}") from None
+    results = manifest.get("results") if isinstance(manifest, dict) else None
+    outputs = results.get("outputs", []) if isinstance(results, dict) else None
+    if not isinstance(outputs, list) or not all(isinstance(n, str) for n in outputs):
+        raise DataFormatError(f"earlier manifest {path} has no list of file names "
+                              f"under results.outputs")
+    return [n for n in outputs if n == os.path.basename(n) and n not in ("", ".", "..")]
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +323,7 @@ def main(argv=None) -> int:
                 nearest = os.path.dirname(nearest)
             if not os.path.isdir(nearest):
                 raise ConfigError(f"--out {args.out}: {nearest} is not a directory")
+            earlier = _earlier_outputs(args.out)
         manifest = {
             "command": args.command,
             "environment": _environment(),
@@ -313,8 +336,10 @@ def main(argv=None) -> int:
         status, files = args.func(args, rc, manifest)
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(args.out, "manifest.json"))
+            # the manifest first: a directory with a manifest holds its run's files
+            for name in ["manifest.json", *(n for n in earlier if n not in files)]:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(os.path.join(args.out, name))
             outputs = manifest["results"]["outputs"] = sorted(files)
             files["manifest.json"] = (json.dumps(manifest, indent=2, sort_keys=True)
                                       + "\n").encode()

@@ -24,6 +24,7 @@ from .nn import LEAKY_SLOPE
 from .regression import (
     DisparityMap,
     SuperpixelUpsample,
+    convex_upsample,
     pixel_shuffle,
     top2_softargmax,
     unfold3x3,
@@ -88,8 +89,10 @@ def gradcheck_suite():
         return ad.batch_norm(x, gamma, Tensor(np.zeros(3)), mean, var,
                              training=training, negative_slope=slope)
 
+    # batch norm writes its output into its input's array, so every call
+    # below gets its own copy; grad_check copies the points it probes
     for training, x in ((True, bn_x), (False, bn_eval_x)):
-        margin = np.abs(bn(Tensor(x), Tensor(bn_gamma), training, slope=1.0).data).min()
+        margin = np.abs(bn(Tensor(x.copy()), Tensor(bn_gamma), training, slope=1.0).data).min()
         if margin <= 0.1:
             raise RuntimeError(f"batch-norm gradcheck input only {margin:.3g} from the kink")
 
@@ -99,9 +102,9 @@ def gradcheck_suite():
         ("batch_norm_eval", lambda: grad_check(_probed(
             lambda t: bn(t, Tensor(bn_gamma), False)), bn_eval_x)),
         ("batch_norm_gamma", lambda: grad_check(_probed(
-            lambda t: bn(Tensor(bn_x), t, True)), bn_gamma)),
+            lambda t: bn(Tensor(bn_x.copy()), t, True)), bn_gamma)),
         ("batch_norm_eval_gamma", lambda: grad_check(_probed(
-            lambda t: bn(Tensor(bn_eval_x), t, False)), bn_gamma)),
+            lambda t: bn(Tensor(bn_eval_x.copy()), t, False)), bn_gamma)),
     ]
 
     cx = rng.standard_normal((1, 2, 6, 7))
@@ -138,6 +141,10 @@ def gradcheck_suite():
     up_x = rng.standard_normal((1, 2, 3, 4))
     plane = rng.standard_normal((1, 1, 3, 4))
     shuffle_x = rng.standard_normal((1, 8, 2, 3))
+    # own generator, so the draws from rng below do not shift
+    convex_rng = np.random.default_rng(11)
+    convex_logits = convex_rng.standard_normal((1, 36, 2, 3))
+    convex_d0 = convex_rng.standard_normal((1, 1, 2, 3))
     top2_x = np.random.default_rng(3).standard_normal((1, 1, 5, 3, 3)) * 2.0
 
     checks += [
@@ -146,6 +153,10 @@ def gradcheck_suite():
         ("unfold3x3", lambda: grad_check(_probed(unfold3x3), plane)),
         ("pixel_shuffle", lambda: grad_check(_probed(
             lambda t: pixel_shuffle(t, 2)), shuffle_x)),
+        ("convex_upsample_logits", lambda: grad_check(_probed(
+            lambda t: convex_upsample(t, Tensor(convex_d0), 2)), convex_logits)),
+        ("convex_upsample_d0", lambda: grad_check(_probed(
+            lambda t: convex_upsample(Tensor(convex_logits), t, 2)), convex_d0)),
         ("top2_regression", lambda: grad_check(_probed(top2_softargmax), top2_x)),
     ]
 

@@ -10,7 +10,7 @@ import numpy as np
 from . import nn
 from .aggregation import CgfConfig, Decoder, Encoder
 from .autodiff import Tensor
-from .backbone import Backbone, BackboneConfig, MergeUpsample
+from .backbone import Backbone, BackboneConfig, FeaturePyramid, MergeUpsample
 from .correlation import (
     AttentionFeatureVolume,
     CorrelationLift,
@@ -82,14 +82,21 @@ class StereoModel(nn.Module):
             raise ShapeError(
                 f"left/right shapes differ: {left.shape} vs {right.shape}"
             )
-        left, right = (Tensor(t.data.astype(DTYPE, copy=False)) for t in (left, right))
-        ctx = self.merge(self.backbone(left))
-        feat_r = self.merge(self.backbone(right))
+        # Release what the decoder, where a no-grad forward peaks, does not
+        # read: in a no-grad forward nothing else holds these arrays.
+        ctx = self._features(left)
+        feat_r = self._features(right)
         corr = build_correlation(ctx.f4, feat_r.f4, self.config.matching)
+        del feat_r
         volume = self.lift(corr)
+        del corr
         if self.afv is not None:
             volume = self.afv(volume, ctx.f4)
         cost = self.decoder(self.encoder(volume, ctx), ctx)
         d0 = top2_regression(cost)
         d1 = self.upsampler(d0, ctx.f4)
         return d0, d1
+
+    def _features(self, image: Tensor) -> FeaturePyramid:
+        """The merged pyramid of one image, cast to DTYPE."""
+        return self.merge(self.backbone(Tensor(image.data.astype(DTYPE, copy=False))))

@@ -12,6 +12,7 @@ from stereomatch.backbone import BackboneConfig
 from stereomatch.correlation import MatchingConfig
 from stereomatch.errors import ConfigError
 from stereomatch.model import ModelConfig
+from stereomatch.runconfig import load_run_config
 from stereomatch.training import TrainParams
 
 
@@ -135,6 +136,17 @@ def test_ablate_runs_every_row_and_reports():
     assert report.detach_checks is not None
     assert report.detach_checks["forward_bit_identical"]
     assert any("detach check" in line for line in report.lines())
+
+
+def test_each_row_records_its_resolved_run_file():
+    """Parsing a row's config text gives that row's ModelConfig and the
+    run's TrainParams."""
+    base, train = tiny_base(), TrainParams(steps=1, height=32, width=64,
+                                           train_samples=1, eval_samples=1)
+    report = ablate(base, "afv", train)
+    for row, (name, cfg) in zip(report.rows, config_rows(base, "afv")):
+        rc = load_run_config(row.config)
+        assert row.name == name and rc.model == cfg and rc.train == train
 
 
 def test_ablate_afv_axis_param_ordering():

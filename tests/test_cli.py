@@ -143,7 +143,7 @@ def test_every_manifest_holds_its_pinned_keys(tmp_path, monkeypatch, case, statu
     assert all(set(report) == REPORT_KEYS for report in reports)
     if case == "ablate":
         assert [set(row) for row in got["rows"]] == [
-            {"name", "overrides", "param_count", "final_loss", "metrics"}] * 2
+            {"name", "overrides", "config", "param_count", "final_loss", "metrics"}] * 2
     if case.startswith("gradcheck"):
         assert got["passed"] is (status == 0)
 
@@ -159,6 +159,40 @@ def test_infer_rerun_is_byte_identical(tmp_path):
         first = (tmp_path / "a" / name).read_bytes()
         second = (tmp_path / "b" / name).read_bytes()
         assert first == second
+
+
+def test_rerun_removes_the_earlier_runs_other_outputs(tmp_path, capsys):
+    """A rerun into an earlier run's directory removes the files the earlier
+    manifest lists and the new run does not write, so the directory holds
+    one run's files.  A listed name that is not a plain file name is not
+    followed, and other files in the directory stay."""
+    cfg = write_cfg(tmp_path)
+    bundle = make_bundle(tmp_path, "s0", seed=12)
+    args = ["infer", str(bundle / "left.ppm"), str(bundle / "right.ppm"), "--config", cfg]
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out), "--save-d0"]) == 0
+    (out / "notes.txt").write_text("kept")
+    outside = tmp_path / "outside.pfm"
+    outside.write_text("kept")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["results"]["outputs"] += ["../outside.pfm", str(outside)]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(args + ["--out", str(out), "--seed", "5"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["disp.pfm", "manifest.json", "notes.txt"]
+    assert outside.read_text() == "kept"
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"results": {"outputs": "disp.pfm"}}', "[]"])
+def test_unreadable_earlier_manifest_exits_2_before_the_run(tmp_path, capsys, text):
+    cfg = write_cfg(tmp_path)
+    bundle = make_bundle(tmp_path, "s0", seed=12)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text(text)
+    assert main(["infer", str(bundle / "left.ppm"), str(bundle / "right.ppm"),
+                 "--config", cfg, "--out", str(out)]) == 2
+    assert "earlier manifest" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 def test_rerun_from_manifest_config_reproduces_outputs(tmp_path):
@@ -508,6 +542,15 @@ def test_ablate_detach_writes_table(tmp_path, capsys):
         rc = load_run_config(manifest["config"], row["overrides"])
         assert rc.model.cgf.detach_context == (row["name"] == "detach_context")
         assert StereoModel(rc.model).param_count() == row["param_count"]
+        assert load_run_config(row["config"]) == rc
+    # and its recorded run file reruns it as `train`, unedited
+    row = rows[1]
+    rerun = tmp_path / "rerun"
+    assert main(["train", "--config", write_cfg(tmp_path, row["config"], "row.cfg"),
+                 "--out", str(rerun)]) == 0
+    results = json.loads((rerun / "manifest.json").read_text())["results"]
+    assert results["final_loss"] == row["final_loss"]
+    assert results["metrics"] == row["metrics"]
 
 
 def test_ablate_honours_train_mode_and_batch_size(tmp_path, capsys, monkeypatch):

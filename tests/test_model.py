@@ -4,6 +4,8 @@ import ctypes
 import hashlib
 import resource
 import statistics
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from stereomatch.correlation import MatchingConfig
 from stereomatch.errors import ConfigError, ShapeError
 from stereomatch.model import ModelConfig, StereoModel
 from stereomatch.synthetic import synth_stereo
+from stereomatch.training import sample_loss
 
 
 def tiny_config(**overrides):
@@ -144,3 +147,60 @@ def test_steady_no_grad_forward_faults_in_no_pages():
     for _ in range(8):  # warm-up: the heap reaches its high-water mark
         faults()
     assert statistics.median(faults() for _ in range(7)) == 0
+
+
+def test_batch_norm_inputs_are_conv_outputs_read_by_nothing_else(monkeypatch):
+    """Batch norm writes its output into its input's array.  That is safe in
+    the model because, in a default train-step graph, the input of each of
+    the 37 batch-norm nodes is a conv output whose only reader is that
+    node."""
+    conv_outputs, bn_nodes = set(), []
+    for op in ("conv2d", "conv3d", "conv_transpose2d", "conv_transpose3d"):
+        def conv(*args, _real=getattr(ad, op)):
+            out = _real(*args)
+            conv_outputs.add(id(out))
+            return out
+        monkeypatch.setattr(ad, op, conv)
+    real_bn = ad.batch_norm
+
+    def bn(*args, **kwargs):
+        bn_nodes.append(real_bn(*args, **kwargs))
+        return bn_nodes[-1]
+
+    monkeypatch.setattr(ad, "batch_norm", bn)
+    model = StereoModel(ModelConfig())
+    model.train()
+    loss = sample_loss(model, synth_stereo(0, 64, 128, 64, "slanted_planes"))
+    readers, seen, stack = Counter(), set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            readers.update(id(p) for p in node._parents)
+            stack.extend(node._parents)
+    assert len(bn_nodes) == 37
+    for out in bn_nodes:
+        x = out._parents[0]
+        assert id(x) in conv_outputs and readers[id(x)] == 1
+
+
+def test_no_grad_forward_peak_at_256x512():
+    """tracemalloc peak of a default no-grad forward at 256x512 beyond what
+    was live before it: 22.6 MB measured, in the last decoder block.  It
+    read 32.1 MB while the forward held the image casts, the right
+    pyramid, the correlation volume and each decoder block's batch-norm
+    output through the rest of the forward (24.2 MB holding only the
+    right pyramid, 25.8 MB only the casts) and the upsampler was a chain
+    of full-size ops (31.1 MB)."""
+    model = StereoModel(ModelConfig())
+    model.eval()
+    s = synth_stereo(0, 256, 512, 64, "slanted_planes")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with ad.no_grad():
+            model(s.left, s.right)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24e6, peak / 1e6

@@ -92,12 +92,12 @@ def test_bias_free_conv_has_no_bias_param():
 def test_batchnorm_layer_updates_buffers_in_train_only():
     rng = np.random.default_rng(4)
     bn = nn.BatchNorm(2)
-    x = ad.Tensor(rng.standard_normal((2, 2, 4, 4)) + 3.0)
-    bn(x)
+    x = rng.standard_normal((2, 2, 4, 4)) + 3.0
+    bn(ad.Tensor(x.copy()))  # a copy each time: the layer consumes its input
     after_train = bn.running_mean.copy()
     assert not np.allclose(after_train, 0.0)
     bn.eval()
-    bn(x)
+    bn(ad.Tensor(x.copy()))
     assert np.array_equal(bn.running_mean, after_train)
 
 

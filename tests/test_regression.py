@@ -5,9 +5,11 @@ import pytest
 
 from stereomatch import autodiff as ad
 from stereomatch.errors import ShapeError
+from stereomatch import regression
 from stereomatch.regression import (
     DisparityMap,
     SuperpixelUpsample,
+    convex_upsample,
     pixel_shuffle,
     top2_regression,
     top2_softargmax,
@@ -182,6 +184,72 @@ class TestPixelShuffle:
     def test_rejects_bad_channel_count(self):
         with pytest.raises(ShapeError):
             pixel_shuffle(ad.Tensor(np.zeros((1, 7, 2, 2))), 2)
+
+
+def composed_upsample(logits, d0, scale):
+    """The convex upsampler as the ops it fuses: softmax, unfold3x3,
+    multiply, sum over the neighbors, pixel_shuffle and the scale."""
+    batch, _, h, w = d0.shape
+    cells = scale * scale
+    weights = ad.softmax(ad.reshape(logits, (batch, 9, cells, h, w)), axis=1)
+    near = ad.reshape(unfold3x3(d0), (batch, 9, 1, h, w))
+    fine = pixel_shuffle(ad.tsum(ad.mul(weights, near), axis=1), scale)
+    return ad.mul(fine, float(scale))
+
+
+class TestConvexUpsample:
+    """The one-node upsampler against the chain of ops it replaces."""
+
+    def run(self, fn, logits, d0, probe):
+        lt = ad.Tensor(logits.copy(), requires_grad=True)
+        dt = ad.Tensor(d0.copy(), requires_grad=True)
+        out = fn(lt, dt, 2)
+        ad.backward(ad.tsum(ad.mul(out, ad.Tensor(probe))))
+        return out.data, lt.grad, dt.grad
+
+    # 1 is a band of one row, 4 an uneven split of 5 rows, 1 << 17 one band
+    @pytest.mark.parametrize("band_rows", [1, 4, 1 << 17])
+    def test_matches_composed_chain_in_float64(self, band_rows, monkeypatch):
+        """Values bit for bit, gradients to 1e-12, whatever the band height."""
+        monkeypatch.setattr(regression, "_COLUMNS", 9 * 4 * 2 * 6 * band_rows)
+        rng = np.random.default_rng(30)
+        logits = rng.standard_normal((2, 36, 5, 6)) * 3.0
+        d0 = rng.uniform(0.0, 12.0, (2, 1, 5, 6))
+        probe = rng.standard_normal((2, 1, 10, 12))
+        got = self.run(convex_upsample, logits, d0, probe)
+        want = self.run(composed_upsample, logits, d0, probe)
+        assert np.array_equal(got[0], want[0])
+        for g, w in zip(got[1:], want[1:]):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    def test_float32_value_is_bitwise_the_composed_chain(self):
+        """What keeps the model's d1 bits: the node does the chain's
+        arithmetic in the chain's order."""
+        rng = np.random.default_rng(31)
+        logits = (rng.standard_normal((1, 144, 6, 8)) * 3.0).astype(np.float32)
+        d0 = rng.uniform(0.0, 12.0, (1, 1, 6, 8)).astype(np.float32)
+        got = convex_upsample(ad.Tensor(logits), ad.Tensor(d0), 4).data
+        want = composed_upsample(ad.Tensor(logits), ad.Tensor(d0), 4).data
+        assert got.dtype == np.float32 and np.array_equal(got, want)
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(32)
+        logits = rng.standard_normal((1, 36, 3, 4))
+        d0 = rng.standard_normal((1, 1, 3, 4))
+        probe = ad.Tensor(rng.standard_normal((1, 1, 6, 8)))
+
+        def program(fn):
+            return lambda t: ad.tsum(ad.mul(fn(t), probe))
+
+        assert ad.grad_check(program(lambda t: convex_upsample(t, ad.Tensor(d0), 2)),
+                             logits) <= 1e-4
+        assert ad.grad_check(program(lambda t: convex_upsample(ad.Tensor(logits), t, 2)),
+                             d0) <= 1e-4
+
+    def test_logit_shape_checked(self):
+        with pytest.raises(ShapeError):
+            convex_upsample(ad.Tensor(np.zeros((1, 35, 2, 2))),
+                            ad.Tensor(np.zeros((1, 1, 2, 2))), 2)
 
 
 class TestSuperpixelUpsample:

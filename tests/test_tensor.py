@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stereomatch import autodiff as ad
-from stereomatch.autodiff.tensor import BN_EPS, BN_MOMENTUM
+from stereomatch.autodiff.tensor import BN_EPS, BN_MOMENTUM, GAMMA_FLOOR
 from stereomatch.errors import ConfigError, GraphError, ShapeError
 from stereomatch.nn import LEAKY_SLOPE
 
@@ -327,7 +327,9 @@ class TestBatchNorm:
         gamma = ad.Tensor(np.ones(2), requires_grad=True)
         beta = ad.Tensor(np.zeros(2), requires_grad=True)
         rm, rv = np.zeros(2), np.ones(2)
-        ad.batch_norm(ad.Tensor(x), gamma, beta, rm, rv, training=True, negative_slope=1.0)
+        # a copy: the node writes its output into its input's array
+        ad.batch_norm(ad.Tensor(x.copy()), gamma, beta, rm, rv, training=True,
+                      negative_slope=1.0)
         assert BN_MOMENTUM == 0.1
         mu = x.mean(axis=(0, 2, 3))
         n = x.size // 2
@@ -377,11 +379,10 @@ class TestBatchNorm:
 
         assert ad.grad_check(wrt_x, x, step=1e-4) <= 1e-4
 
-        xt = ad.Tensor(x)
-
         def wrt_gamma(t):
             rm, rv = np.zeros(2), np.ones(2)
-            y = ad.batch_norm(xt, t, beta, rm, rv, training=True, negative_slope=1.0)
+            y = ad.batch_norm(ad.Tensor(x.copy()), t, beta, rm, rv, training=True,
+                              negative_slope=1.0)
             return ad.tsum(ad.mul(y, ad.Tensor(w)))
 
         assert ad.grad_check(wrt_gamma, gamma.data.copy(), step=1e-4) <= 1e-4
@@ -400,10 +401,11 @@ class TestBatchNorm:
 
         assert ad.grad_check(wrt_x, x) <= 1e-4
 
-    def test_eval_is_one_node_bitwise_equal_to_the_composed_chain(self):
-        """Eval mode at slope 1.0 is one graph node whose value and x, gamma
-        and beta gradients equal those of sub/mul/mul/add on the running
-        statistics."""
+    def test_eval_is_one_node_matching_the_composed_chain(self):
+        """Eval mode at slope 1.0 is one graph node whose value equals that
+        of sub/mul/mul/add on the running statistics bit for bit, and whose
+        x, gamma and beta gradients, which read the normalized input back
+        from the output, agree with the chain's to 1e-12."""
         rng = np.random.default_rng(12)
         x = rng.standard_normal((2, 3, 4, 5))
         gamma, beta = rng.uniform(0.5, 1.5, 3), rng.standard_normal(3)
@@ -412,7 +414,7 @@ class TestBatchNorm:
         cshape = (1, 3, 1, 1)
 
         def run(fused):
-            xt = ad.Tensor(x, requires_grad=True)
+            xt = ad.Tensor(x.copy(), requires_grad=True)
             gt = ad.Tensor(gamma, requires_grad=True)
             bt = ad.Tensor(beta, requires_grad=True)
             if fused:
@@ -425,15 +427,19 @@ class TestBatchNorm:
             ad.backward(ad.tsum(ad.mul(y, probe)))
             return y.data, xt.grad, gt.grad, bt.grad
 
-        for fused, chain in zip(run(True), run(False)):
-            assert np.array_equal(fused, chain)
+        (value, *grads), (want, *chain) = run(True), run(False)
+        assert np.array_equal(value, want)
+        for got, ref in zip(grads, chain):
+            assert np.allclose(got, ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_fused_leaky_equals_batch_norm_then_leaky_relu(self, training):
         """At the model's slope the fused node matches batch norm at 1.0
         followed by leaky_relu: bit for bit in eval mode, within 1e-12 in
-        train mode, for the value, the running buffers and the x, gamma and
-        beta gradients.  beta straddles 0, so both sides of the kink occur."""
+        train mode, for the value and the running buffers; the x, gamma and
+        beta gradients agree to 1e-12 in both modes, because the fused node
+        reads the normalized input back from its output.  beta straddles 0,
+        so both sides of the kink occur."""
         rng = np.random.default_rng(13)
         x = rng.standard_normal((2, 3, 4, 5)) * 2.0 + 0.5
         gamma, beta = rng.uniform(0.5, 1.5, 3), np.array([-0.4, 0.0, 0.6])
@@ -441,7 +447,7 @@ class TestBatchNorm:
         mean0, var0 = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
 
         def run(fused):
-            xt = ad.Tensor(x, requires_grad=True)
+            xt = ad.Tensor(x.copy(), requires_grad=True)
             gt = ad.Tensor(gamma, requires_grad=True)
             bt = ad.Tensor(beta, requires_grad=True)
             rm, rv = mean0.copy(), var0.copy()
@@ -457,11 +463,81 @@ class TestBatchNorm:
 
         fused, chain = run(True), run(False)
         assert (fused[0] < 0).any() and (fused[0] > 0).any()
-        for got, want in zip(fused, chain):
-            if training:
+        for i, (got, want) in enumerate(zip(fused, chain)):
+            if training or i >= 3:
                 assert np.allclose(got, want, rtol=0, atol=1e-12)
             else:
                 assert np.array_equal(got, want)
+
+    def test_output_is_written_into_the_input(self):
+        """The node consumes its input: its output is x's own array and keeps
+        x's dtype.  An input that is read-only or not C-contiguous is copied
+        first and left as it was."""
+        rng = np.random.default_rng(15)
+        gamma, beta = ad.Tensor(np.ones(3)), ad.Tensor(np.zeros(3))
+
+        def bn(x):
+            return ad.batch_norm(ad.Tensor(x), gamma, beta, np.zeros(3), np.ones(3),
+                                 training=True, negative_slope=LEAKY_SLOPE).data
+
+        x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
+        y = bn(x)
+        assert y is x and y.dtype == np.float32
+        frozen = rng.standard_normal((2, 3, 4, 4))
+        frozen.flags.writeable = False
+        strided = rng.standard_normal((2, 4, 4, 3)).transpose(0, 3, 1, 2)
+        for x in (frozen, strided):
+            before = x.copy()
+            y = bn(x)
+            assert not np.shares_memory(y, x) and np.array_equal(x, before)
+            assert np.array_equal(y, bn(before))
+
+    @staticmethod
+    def _composed(xt, gt, bt, rm, rv, training):
+        """Batch norm and leaky ReLU from primitive ops, the oracle."""
+        cshape, axes = (1, -1, 1, 1), (0, 2, 3)
+        if training:
+            n = xt.size // xt.shape[1]
+            xc = ad.sub(xt, ad.div(ad.tsum(xt, axis=axes, keepdims=True), n))
+            var = ad.div(ad.tsum(ad.mul(xc, xc), axis=axes, keepdims=True), n)
+        else:
+            xc, var = ad.sub(xt, rm.reshape(cshape)), ad.Tensor(rv.reshape(cshape))
+        xn = ad.div(xc, ad.sqrt(ad.add(var, BN_EPS)))
+        z = ad.add(ad.mul(xn, ad.reshape(gt, cshape)), ad.reshape(bt, cshape))
+        return ad.leaky_relu(z, LEAKY_SLOPE)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_matches_composed_chain_on_both_sides_of_the_gamma_floor(self, training):
+        """Channels with |gamma| at or above GAMMA_FLOOR read the normalized
+        input back from the output; the others (gamma 0, 0.01 and -0.04
+        here) keep it, since their output holds too little of it.  Either
+        way the value and the x, gamma and beta gradients match the composed
+        float64 chain to 1e-12, and a zero gamma gives finite gradients."""
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((2, 5, 4, 4)) * 2.0 + 0.5
+        gamma = np.array([1.0, 0.0, 0.01, -0.04, GAMMA_FLOOR])
+        beta = np.array([-0.4, 0.3, 0.05, 0.0, 0.6])
+        mean0, var0 = rng.standard_normal(5), rng.uniform(0.5, 2.0, 5)
+        probe = ad.Tensor(rng.standard_normal(x.shape))
+
+        def run(fused):
+            xt = ad.Tensor(x.copy(), requires_grad=True)
+            gt = ad.Tensor(gamma, requires_grad=True)
+            bt = ad.Tensor(beta, requires_grad=True)
+            rm, rv = mean0.copy(), var0.copy()
+            if fused:
+                y = ad.batch_norm(xt, gt, bt, rm, rv, training=training,
+                                  negative_slope=LEAKY_SLOPE)
+            else:
+                y = self._composed(xt, gt, bt, rm, rv, training)
+            ad.backward(ad.tsum(ad.mul(y, probe)))
+            return y.data, xt.grad, gt.grad, bt.grad
+
+        fused, chain = run(True), run(False)
+        assert (fused[0] < 0).any() and (fused[0] > 0).any()
+        for got, want in zip(fused, chain):
+            assert np.isfinite(got).all()
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_backward_leaves_incoming_gradient_untouched(self, training):
@@ -474,7 +550,7 @@ class TestBatchNorm:
         probe = ad.Tensor(rng.standard_normal((2, 3, 4, 4)))
 
         def fused(x):
-            xt = ad.Tensor(x, requires_grad=True)
+            xt = ad.Tensor(x.copy(), requires_grad=True)
             gt = ad.Tensor(gamma, requires_grad=True)
             bt = ad.Tensor(beta, requires_grad=True)
             y = ad.batch_norm(xt, gt, bt, np.zeros(3), np.ones(3), training=training,

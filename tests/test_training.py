@@ -401,7 +401,7 @@ def test_default_train_step_runs_in_float32(monkeypatch):
 def test_backward_frees_the_graph_of_a_default_step():
     """tracemalloc over one default-config float32 train step at 64x128: the
     sweep's peak stays within 1.25x the bytes live at the end of the forward
-    (measured 1.02; a sweep that keeps every interior gradient and saved
+    (measured 1.04; a sweep that keeps every interior gradient and saved
     activation to its end reads 2.27), and afterwards little more than the
     parameter gradients is live (measured 0.14 MB more; 17.5 MB more when
     the sweep keeps them)."""
