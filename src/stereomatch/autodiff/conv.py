@@ -16,12 +16,6 @@ least one.  Per tile, the forward is one GEMM with the kernel as a free
 gradient one GEMM ``cols·gᵀ`` with the batch folded in, summed over the
 tiles and transposed once.
 
-When the process may use two CPUs, a forward of at least ``_SPLIT`` column
-elements (four tiles) runs the second half of its tiles on a worker thread
-while the caller runs the first; numpy releases the GIL in the gather copy
-and the GEMM, so the halves overlap.  Each tile is the serial loop's GEMM
-and writes only its own slice of the output, so the bits are the same.
-
 The input gradient of a strided call whose columns fit ``_COLUMNS`` is col2im:
 ``Wᵀ·g``, then one strided add per tap into the padded input grid and a crop.
 Any other input gradient is polyphase: one stride-1 correlation per stride
@@ -32,9 +26,6 @@ correlation is the result.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from functools import cache
 from math import prod
 
 import numpy as np
@@ -54,17 +45,6 @@ __all__ = [
 # gathered tile holds, so that a tile's gather and GEMM stay in cache, and the
 # most that col2im's column matrix holds.
 _COLUMNS = 1 << 17
-_SPLIT = 4 * _COLUMNS  # column-matrix elements from which a forward splits over two threads
-
-
-@cache
-def _worker() -> ThreadPoolExecutor | None:
-    """The one thread that runs the second half of a split forward's tiles,
-    made on first use; None when the process may use only one CPU."""
-    return ThreadPoolExecutor(1) if len(os.sched_getaffinity(0)) > 1 else None
-
-
-os.register_at_fork(after_in_child=_worker.cache_clear)  # a forked child has no worker thread
 
 
 def _norm_tuple(value, n: int, name: str) -> tuple[int, ...]:
@@ -140,25 +120,10 @@ def _corr_forward(x, w, stride, pads) -> np.ndarray:
     osp = _out_spatial(x.shape[2:], kshape, stride, pads)
     out = np.empty((b, co) + osp, np.result_type(x, w))
     wm = w.reshape(co, -1)
-
-    def run(tiles):
-        for at, window in tiles:
-            # the tile's slice of out spans whole trailing axes, so this reshape is a view
-            dst = out[(slice(None),) * 2 + at].reshape(b, co, -1)
-            np.matmul(wm, window.reshape(b, wm.shape[1], -1), out=dst)
-
-    tiles = _tiles(x, kshape, stride, pads, osp)
-    worker = _worker() if b * wm.shape[1] * prod(osp) >= _SPLIT else None
-    if worker is None:
-        run(tiles)
-        return out
-    tiles = list(tiles)
-    half = len(tiles) // 2
-    rest = worker.submit(run, tiles[half:])
-    try:
-        run(tiles[:half])
-    finally:
-        rest.result()  # no tile runs after the call returns, and its error is raised here
+    for at, window in _tiles(x, kshape, stride, pads, osp):
+        # the tile's slice of out spans whole trailing axes, so this reshape is a view
+        dst = out[(slice(None),) * 2 + at].reshape(b, co, -1)
+        np.matmul(wm, window.reshape(b, wm.shape[1], -1), out=dst)
     return out
 
 

@@ -67,7 +67,7 @@ def _environment() -> dict:
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "threads": {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},
         "dtype": np.dtype(DTYPE).name,  # the model's compute dtype
-        "cpus": len(os.sched_getaffinity(0)),  # speed only: a split conv gives the same bits
+        "cpus": len(os.sched_getaffinity(0)),  # unpinned OpenBLAS runs this many threads: bits vary
         "malloc": ad.MALLOC_POLICY,  # speed and residency only, None where not glibc
     }
 

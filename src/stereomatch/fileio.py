@@ -21,6 +21,7 @@ from .errors import DataFormatError, ShapeError
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 # a PFM scale: float() alone would also take '_' separators, "inf" and "nan"
 _DECIMAL = re.compile(rb"[+-]?[0-9]+(\.[0-9]+)?(e[+-]?[0-9]+)?")
+_COMMENT = re.compile(rb"#[^\r\n]*")  # a netpbm header comment, up to its line end
 
 
 @contextlib.contextmanager
@@ -39,11 +40,13 @@ def atomic_write(path: str) -> Iterator[BinaryIO]:
         raise
 
 
-def _next_token(data: bytes, pos: int) -> Tuple[bytes, int, int]:
-    """Return (token, start, end) of the next whitespace-delimited token."""
-    n = len(data)
-    while pos < n and data[pos : pos + 1] in _WHITESPACE:
-        pos += 1
+def _next_token(data: bytes, pos: int, comments: bool = False) -> Tuple[bytes, int, int]:
+    """Return (token, start, end) of the next whitespace-delimited token.
+    With comments (netpbm), a `#` before the token and the rest of its line
+    are skipped like whitespace."""
+    n, skip = len(data), (_WHITESPACE + b"#" if comments else _WHITESPACE)
+    while pos < n and data[pos : pos + 1] in skip:
+        pos = _COMMENT.match(data, pos).end() if data[pos : pos + 1] == b"#" else pos + 1
     if pos >= n:
         raise DataFormatError(f"unexpected end of header at byte {pos}")
     start = pos
@@ -136,14 +139,14 @@ def write_pgm(img: np.ndarray) -> bytes:
 
 
 def _read_netpbm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
-    tok, start, pos = _next_token(data, 0)
+    tok, start, pos = _next_token(data, 0, True)
     if tok != magic:
         raise DataFormatError(f"bad magic {tok!r} at byte {start}, expected {magic!r}")
-    wtok, start, pos = _next_token(data, pos)
+    wtok, start, pos = _next_token(data, pos, True)
     w = _positive(wtok, "netpbm width", start)
-    htok, start, pos = _next_token(data, pos)
+    htok, start, pos = _next_token(data, pos, True)
     h = _positive(htok, "netpbm height", start)
-    mtok, mstart, pos = _next_token(data, pos)
+    mtok, mstart, pos = _next_token(data, pos, True)
     maxval = _positive(mtok, "netpbm maxval", mstart)
     if maxval != 255:
         raise DataFormatError(f"unsupported maxval {maxval} at byte {mstart}; only 255")

@@ -116,6 +116,19 @@ class TestNetpbm:
         with pytest.raises(DataFormatError, match="truncated"):
             read_pgm(write_pgm(img)[:-3])
 
+    def test_header_comments_are_skipped(self):
+        """A `#` between header tokens starts a comment that runs to the end
+        of its line, as GIMP writes after the magic; one that runs to the
+        end of the file leaves the header unfinished."""
+        pixels = bytes(range(18))
+        plain = read_ppm(b"P6\n3 2\n255\n" + pixels)
+        assert np.array_equal(read_ppm(b"P6\n# Created by GIMP\n3 2\n255\n" + pixels), plain)
+        assert np.array_equal(read_ppm(b"P6 #a\r#b\n3 #c\n 2\n255\n" + pixels), plain)
+        gray = read_pgm(b"P5\n3 2\n255\n" + pixels[:6])
+        assert np.array_equal(read_pgm(b"P5\n3 2 # w h\n255\n" + pixels[:6]), gray)
+        with pytest.raises(DataFormatError, match="end of header"):
+            read_pgm(b"P5\n3 2 # no maxval")
+
     def test_shape_guards(self):
         with pytest.raises(ShapeError):
             write_ppm(np.zeros((2, 2), dtype=np.uint8))
